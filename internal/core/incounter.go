@@ -210,36 +210,6 @@ func (c *InCounter) Attach() State {
 	return State{counter: c, inc: r, dec: NewDecPair(r, r)}
 }
 
-// AddRoot applies a signed batch of dependencies directly at the
-// counter's root in one shared RMW: delta > 0 registers delta new
-// out-of-band dependencies (a weighted Attach that hands back no
-// handles), delta < 0 discharges -delta of them. It is the flush
-// entry point for the batched counter frontend (package counter's
-// per-worker delta slots): the frontend guarantees, via its per-slot
-// anchor dependency, that every discharge is covered and that the
-// counter is non-zero whenever a positive delta lands, so a weighted
-// arrive never races the indicator protocol from zero in that use
-// (the implementation still handles it).
-//
-// AddRoot returns whether the call brought the counter to zero (only
-// possible for delta < 0; the same exactly-once report as Decrement)
-// and the number of CAS retries the root update suffered — the
-// caller's contention signal. delta == 0 is a no-op.
-//
-// Like Attach, AddRoot relaxes the Lemma 4.3 handle discipline: the
-// delta lives at the root with no per-vertex handles. Counting stays
-// exact; the contention bound for root traffic becomes the caller's
-// responsibility (the batched frontend divides it by the batch size).
-func (c *InCounter) AddRoot(delta int64) (zero bool, retries int) {
-	switch {
-	case delta > 0:
-		return false, c.tree.Root().ArriveRootN(uint64(delta))
-	case delta < 0:
-		return c.tree.Root().DepartRootN(uint64(-delta))
-	}
-	return false, 0
-}
-
 // State is one dag vertex's view into the in-counter of its finish
 // vertex: where its Increment would start (inc) and which decrement
 // pair it shares with its sibling (dec).

@@ -9,53 +9,50 @@ import (
 
 // DefaultContention is the promotion threshold used when Adaptive's
 // Contention field is zero: the number of CAS failures observed on the
-// flat cell before the counter migrates to the dynamic in-counter. CAS
-// failures only happen when another operation wrote the cell between
-// an op's load and its CAS — the cheapest proxy for cache-line
-// contention the cell can observe about itself — so the threshold is
-// a direct "observed collisions" budget, not a rate. It is deliberately
-// small: a genuinely contended finish block crosses it in microseconds,
-// while a sequential or well-spaced workload never fails a CAS at all.
+// flat cell before the counter promotes. CAS failures only happen when
+// another operation wrote the cell between an op's load and its CAS —
+// the cheapest proxy for cache-line contention the cell can observe
+// about itself — so the threshold is a direct "observed collisions"
+// budget, not a rate. It is deliberately small: a genuinely contended
+// finish block crosses it in microseconds, while a sequential or
+// well-spaced workload never fails a CAS at all.
 const DefaultContention = 32
 
 // Adaptive is the contention-adaptive dependency counter: it starts
 // life as a single fetch-and-add cell — the optimal algorithm while
-// uncontended (PPoPP'17 Figure 8, p=1) — and promotes itself to the
-// paper's dynamic in-counter when the cell observes sustained
-// contention, so one algorithm serves both ends of the evaluation's
-// crossover without the user picking per workload.
+// uncontended (PPoPP'17 Figure 8, p=1) — and reacts when the cell
+// observes sustained contention, so one algorithm serves both ends of
+// the evaluation's crossover without the user picking per workload.
+// What "reacts" means depends on Batch; both forms rest on one hold
+// rule (DESIGN.md §6): a source with obligations still in flight
+// pre-pays units in its destination and settles them when it drains.
 //
-// Promotion is a live migration. The in-counter is installed seeded
-// with one extra dependency (the anchor); operations that start after
-// the installation route to the in-counter, while obligations already
-// tracked by the cell keep draining it; the unique operation that
-// drains the cell to zero discharges the anchor. The anchor keeps the
-// in-counter non-zero for as long as the cell is, so the composite
-// counter can never report zero while either side still has
-// undischarged dependencies (see DESIGN.md §6 for the invariant
-// argument).
-//
-// With Batch ≥ 2 the promoted phase additionally runs the batched
-// frontend (DESIGN.md §13): post-promotion operations accumulate in
-// per-worker delta slots (counter.Home) and flush into the in-counter
-// root in one weighted RMW when the local delta crosses the batch
-// threshold or at worker boundaries, and a promoted counter whose
-// flushes stay contention-free for a calm streak demotes back to the
-// cell — the burst-recovery path the spec exposes as
-// `adaptive:K:batch`. With Batch ≤ 1 (the default) the batched tier
-// and demotion are disabled and the counter behaves exactly as the
-// two-phase algorithm above: a counter that was contended once stays
+// With Batch ≤ 1 (the default) promotion installs the paper's dynamic
+// in-counter, seeded with one extra dependency (the anchor). Operations
+// that start after the installation route new obligations to the
+// in-counter while obligations already tracked by the cell keep
+// draining it; the unique operation that drains the cell to zero
+// discharges the anchor. A counter that was contended once stays
 // promoted for its (single finish block) lifetime.
+//
+// With Batch ≥ 2 the cell stays the only shared word and promotion
+// merely flips an advisory flag: while it is set, workers accumulate
+// the counter's operations in private delta slots (counter.Home) and
+// settle them against the cell in one weighted RMW when the local
+// delta crosses the batch threshold or at worker boundaries; a counter
+// whose flushes stay contention-free for a calm streak clears the flag
+// again — the burst-recovery path the spec exposes as
+// `adaptive:K:batch`.
 type Adaptive struct {
 	// Contention is the promotion threshold: cumulative CAS failures on
-	// the cell before migrating. 0 means DefaultContention.
+	// the cell before promoting. 0 means DefaultContention.
 	Contention uint64
 	// Threshold is the grow-probability denominator of the in-counter
 	// the cell promotes into, exactly as in Dynamic.Threshold.
 	Threshold uint64
 	// Batch enables the batched frontend: per-worker deltas flush into
-	// the promoted in-counter when |delta| reaches Batch. 0 or 1
-	// disables batching (and demotion) entirely.
+	// the cell when |delta| reaches Batch. 0 or 1 disables batching
+	// (and demotion) entirely.
 	Batch uint64
 	// Eager promotes every counter at creation instead of waiting for
 	// the CAS-miss signal (Parse spells it adaptive:0[:batch]). The
@@ -74,11 +71,12 @@ type Adaptive struct {
 // AdaptiveStats aggregates lifecycle events across all counters of one
 // Adaptive algorithm instance (a runtime's worth of finish blocks).
 type AdaptiveStats struct {
-	// Promotions counts counters that migrated to the in-counter
-	// (re-promotions after a demotion count again).
+	// Promotions counts in-counter installs (unbatched) or flips into
+	// buffering mode (batched; re-promotions after a demotion count
+	// again).
 	Promotions atomic.Uint64
-	// Demotions counts promoted counters that migrated back to the
-	// cell after a calm streak (batched mode only).
+	// Demotions counts flips back out of buffering mode after a calm
+	// streak (batched mode only).
 	Demotions atomic.Uint64
 	// Counters counts counters created.
 	Counters atomic.Uint64
@@ -161,104 +159,72 @@ func (a Adaptive) New(initial int) Counter {
 	c.cell.Store(int64(initial))
 	c.fa.c = c
 	if a.Eager {
-		c.promote()
+		c.promote() // the cell holds only initial: the pin's release cannot drain it
 	}
 	return c
 }
 
-// adaptiveCounter is one finish block's two-phase counter. The hot
-// word (cell) sits on its own cache line; misses and the promotion
-// pointer are colder and share the next. The struct is padded to
-// exactly 128 bytes (two lines, asserted by TestAdaptiveCounterLayout)
-// so Go's size-class allocator hands out 64-aligned blocks and
-// neighboring counters can never share cell's line — a 112-byte
-// layout would be allocated at 112-byte strides, putting half of all
-// counters' hot words mid-line.
+// adaptiveCounter is one finish block's counter. The hot word (cell)
+// sits on its own cache line; everything else is colder and shares the
+// next. The struct is exactly 128 bytes (two lines, asserted by
+// TestAdaptiveCounterLayout) so Go's size-class allocator hands out
+// 64-aligned blocks and neighboring counters can never share cell's
+// line — a 112-byte layout would be allocated at 112-byte strides,
+// putting half of all counters' hot words mid-line.
 type adaptiveCounter struct {
 	cell atomic.Int64
 	_    [56]byte // keep the contended word alone on its line
 
-	misses     atomic.Uint64             // cumulative cell CAS failures
-	dyn        atomic.Pointer[promotion] // nil until first promoted; see current()
+	misses atomic.Uint64 // cumulative cell CAS failures
+	// anchor is nil until an in-counter is installed (batch ≤ 1 only),
+	// then that in-counter's initial dependency — anchor.owner is the
+	// in-counter — held by the adaptive counter itself and discharged
+	// exactly once, by the operation that drains the cell to zero.
+	anchor     atomic.Pointer[dynState]
 	contention uint64
 	grow       uint64
 	batch      uint64 // flush threshold; ≤ 1 disables batching and demotion
 	stats      *AdaptiveStats
-	fa         adFAState // the shared cell-phase state (see RootState)
-	_          [8]byte   // round the cold line up to a full 64 bytes
-}
-
-// promotion is one installed in-counter phase: the in-counter plus the
-// anchor capability that keeps it non-zero until the cell drains. With
-// batching disabled there is at most one phase per counter lifetime;
-// with batching, a demotion marks the phase dead-for-new-obligations
-// and a later re-promotion replaces it (CAS on c.dyn against the
-// demoted phase), so obligations buffered under an old phase always
-// resolve against that phase's own in-counter.
-type promotion struct {
-	dc *dynCounter
-	// anchor is the in-counter's initial dependency, held by the
-	// adaptive counter itself and discharged exactly once, by the
-	// operation that drains the cell to zero. It is a pointer swap
-	// (not a plain field) because the demotion precondition reads it
-	// concurrently with the discharging operation.
-	anchor atomic.Pointer[dynState]
-	// demoted flips once, when the batched frontend migrates the
-	// counter back to the cell: new obligations re-enter the cell, and
-	// the phase's in-counter zero report routes through the cell
-	// (discharging the demotion anchor) instead of being the
-	// composite's. Only set with batch ≥ 2.
-	demoted atomic.Bool
-	// calm counts consecutive retry-free flushes against this phase —
-	// the windowed decay signal behind demotion (each flush is one
-	// observation window; a contended flush resets the streak).
-	calm atomic.Uint64
-	// bs is the phase's shared batched-mode capability, handed to every
-	// post-promotion vertex in place of per-spawn in-counter states
-	// (batch ≥ 2 only; like the cell's adFAState it is deliberately
-	// not a Releaser).
-	bs batchedState
+	fa         adFAState // the one state every vertex of this counter shares
+	// buffering is the batched mode flag (batch ≥ 2 only): while set,
+	// operations with a Home in scope buffer there. It is advisory — an
+	// operation acting on a stale value merely buffers, or does not,
+	// against the same cell — so no soundness argument reads it.
+	buffering atomic.Bool
+	// calm counts consecutive calm flushes — the windowed decay signal
+	// behind demotion (see observeFlush).
+	calm atomic.Uint32
 }
 
 // IsZero implements Counter: the composite is zero only when the cell
-// has drained and, if promoted, the in-counter has too. While the cell
-// is non-zero the anchor keeps the in-counter non-zero as well, so the
-// two reads cannot race into a spurious zero.
+// has drained and, if an in-counter is installed, it has too. While the
+// cell is non-zero the anchor keeps the in-counter non-zero as well, so
+// the two reads cannot race into a spurious zero.
 func (c *adaptiveCounter) IsZero() bool {
 	if c.cell.Load() != 0 {
 		return false
 	}
-	p := c.dyn.Load()
-	return p == nil || p.dc.IsZero()
+	a := c.anchor.Load()
+	return a == nil || a.owner.IsZero()
 }
 
 // NodeCount implements Counter: the cell plus, after promotion, the
 // in-counter's SNZI nodes.
 func (c *adaptiveCounter) NodeCount() int64 {
-	if p := c.dyn.Load(); p != nil {
-		return 1 + p.dc.NodeCount()
+	if a := c.anchor.Load(); a != nil {
+		return 1 + a.owner.NodeCount()
 	}
 	return 1
 }
 
-// RootState implements Counter. A counter is born in cell phase, so
-// the root capability is the shared cell state.
+// RootState implements Counter: the shared state.
 func (c *adaptiveCounter) RootState() State { return &c.fa }
 
 // Promoted reports whether the counter is currently promoted: an
-// in-counter phase is installed and has not been demoted back to the
-// cell (diagnostics and tests).
+// in-counter is installed, or the buffering flag is set (diagnostics
+// and tests).
 func (c *adaptiveCounter) Promoted() bool {
-	p := c.dyn.Load()
-	return p != nil && !p.demoted.Load()
-}
-
-// Demoted reports whether the counter's current phase has been demoted
-// back to the cell (diagnostics and tests; always false with batching
-// disabled).
-func (c *adaptiveCounter) Demoted() bool {
-	p := c.dyn.Load()
-	return p != nil && p.demoted.Load()
+	return c.anchor.Load() != nil || c.buffering.Load()
 }
 
 // Misses returns the cumulative cell CAS-failure count (diagnostics).
@@ -275,22 +241,14 @@ func (c *adaptiveCounter) Demoted() bool {
 // adaptive_test.go pins this relationship.
 func (c *adaptiveCounter) Misses() uint64 { return c.misses.Load() }
 
-// Unwrap exposes the promoted in-counter, or nil before promotion
-// (invariant tests).
-func (c *adaptiveCounter) Unwrap() *dynCounter {
-	if p := c.dyn.Load(); p != nil {
-		return p.dc
-	}
-	return nil
-}
-
 // noteMiss records one cell CAS failure and promotes once the
 // cumulative count crosses the threshold. The miss counter is itself a
-// shared word, but it is touched only on failures, and promotion caps
-// the total at threshold + O(concurrency) for the counter's lifetime.
+// shared word, but it is touched only on failures. The caller is inside
+// an operation whose own obligation is still in the cell, so the
+// promoter's pin cannot be the unit that drains it.
 func (c *adaptiveCounter) noteMiss() {
-	if c.misses.Add(1) >= c.contention {
-		c.promote()
+	if c.misses.Add(1) >= c.contention && c.promote() {
+		panic("counter: adaptive counter drained under an operation in progress")
 	}
 }
 
@@ -318,33 +276,69 @@ func ContentionStep(misses uint64, colliders int, contention uint64) (uint64, bo
 	return misses, misses >= contention
 }
 
-// promote installs a fresh in-counter phase: a dynamic in-counter born
-// with one dependency — the anchor — whose State the adaptive counter
-// keeps for itself. The CAS replaces either no phase (first promotion)
-// or a demoted phase (re-promotion after a calm period; the old
-// phase's remaining obligations keep draining its own in-counter,
-// chained to the composite through the demotion anchor in the cell).
-// Exactly one installer wins; losers release their never-published
-// anchor state and let their counter be collected. promote is safe to
-// call at any time from any goroutine (tests force promotion
-// mid-flight): if the cell has already drained, the installed phase is
-// simply dead weight — no operation can route to it, because a drained
-// cell has no live states left to operate.
-func (c *adaptiveCounter) promote() {
-	p := c.dyn.Load()
-	if p != nil && !p.demoted.Load() {
-		return
-	}
-	dc := Dynamic{Threshold: c.grow}.New(1).(*dynCounter)
-	np := &promotion{dc: dc}
-	np.anchor.Store(dc.RootState().(*dynState))
-	np.bs.c, np.bs.p = c, np
-	if c.dyn.CompareAndSwap(p, np) {
-		if c.stats != nil {
-			c.stats.Promotions.Add(1)
+// promote reacts to contention. Batched, it sets the buffering flag.
+// Unbatched, it installs the in-counter under a pin: the promoter first
+// takes a cell unit of its own — a CAS that fails at zero, so a drained
+// counter is never promoted — then publishes the in-counter, born with
+// one dependency (the anchor), and finally releases the pin like any
+// other cell obligation. Installs therefore happen only while the cell
+// is non-zero, and every install is followed by a cell drain that
+// discharges its anchor. promote is safe to call at any time from any
+// goroutine; the return value is the composite's zero report, possible
+// only when the pin's release is the operation that drains the cell —
+// i.e. never for a caller holding a live obligation of its own.
+func (c *adaptiveCounter) promote() (zero bool) {
+	if c.batch > 1 {
+		if c.buffering.CompareAndSwap(false, true) {
+			c.calm.Store(0)
+			c.countPromotion()
 		}
-	} else {
-		np.anchor.Load().Release()
+		return false
+	}
+	if c.anchor.Load() != nil || !c.pin() {
+		return false
+	}
+	a := Dynamic{Threshold: c.grow}.New(1).RootState().(*dynState)
+	if c.anchor.CompareAndSwap(nil, a) { // a racing promoter's loser is never published
+		c.countPromotion()
+	}
+	return c.cellDec()
+}
+
+func (c *adaptiveCounter) countPromotion() {
+	if c.stats != nil {
+		c.stats.Promotions.Add(1)
+	}
+}
+
+// pin adds one unit to a non-zero cell; it reports false, leaving the
+// cell untouched, once the cell has drained.
+func (c *adaptiveCounter) pin() bool {
+	for {
+		v := c.cell.Load()
+		if v == 0 {
+			return false
+		}
+		if c.cell.CompareAndSwap(v, v+1) {
+			return true
+		}
+	}
+}
+
+// cellAdd applies k to the cell in one CAS and returns the new value
+// and how many attempts lost to a concurrent writer — the batched
+// frontend's contention signal. The slot rule (batch.go) keeps the
+// result non-negative.
+func (c *adaptiveCounter) cellAdd(k int64) (n int64, retries int) {
+	for {
+		v := c.cell.Load()
+		if n = v + k; n < 0 {
+			panic("counter: adaptive cell went negative (unbalanced decrement)")
+		}
+		if c.cell.CompareAndSwap(v, n) {
+			return n, retries
+		}
+		retries++
 	}
 }
 
@@ -364,27 +358,14 @@ func (c *adaptiveCounter) cellDec() bool {
 }
 
 // cellDrained is the zero routing for the operation that drained the
-// cell. If the current phase holds a live anchor (an installed,
-// never-demoted in-counter), the drain discharges it and propagates
-// the in-counter's report. Otherwise the cell's zero IS the
-// composite's: either there was never a promotion, or the current
-// phase is a demoted one — and the only way the cell drains in a
-// demoted epoch is via the cellDec chained from that phase's own
-// in-counter zero (the demotion anchor holds the cell at ≥ 1 until
-// then), so both sides are known drained. The anchor Swap keeps the
-// discharge exactly-once across the multiple cell-drain epochs a
-// demotion/re-promotion history creates.
+// cell. Installs only happen under a pin, which holds the cell
+// non-zero, so the drainer's read of the anchor pointer is final: with
+// no in-counter the cell's zero is the composite's; with one, the drain
+// discharges the anchor and propagates the in-counter's report. (The
+// anchor state is not released to the pool: IsZero keeps reading it.)
 func (c *adaptiveCounter) cellDrained() bool {
-	p := c.dyn.Load()
-	if p == nil {
-		return true
-	}
-	if a := p.anchor.Swap(nil); a != nil {
-		zero := a.Decrement()
-		a.Release()
-		return zero
-	}
-	return true
+	a := c.anchor.Load()
+	return a == nil || a.Decrement()
 }
 
 // routeIncrement performs a post-promotion Increment for a state whose
@@ -393,8 +374,8 @@ func (c *adaptiveCounter) cellDrained() bool {
 // is the caller's cell obligation discharged — so the composite never
 // dips, and the anchor (not yet discharged, because the cell was
 // non-zero throughout) keeps the in-counter's zero unreachable.
-func (c *adaptiveCounter) routeIncrement(p *promotion, g *rng.Xoshiro256ss) (State, State) {
-	a := p.dc.attach()
+func (c *adaptiveCounter) routeIncrement(dc *dynCounter, g *rng.Xoshiro256ss) (State, State) {
+	a := dc.attach()
 	l, r := a.Increment(g)
 	a.Release()
 	if c.cellDec() {
@@ -405,34 +386,34 @@ func (c *adaptiveCounter) routeIncrement(p *promotion, g *rng.Xoshiro256ss) (Sta
 	return l, r
 }
 
-// adFAState is the cell-phase capability, shared by every cell-phase
-// vertex exactly like the fetch-and-add baseline's state (and like it,
-// deliberately not a Releaser). Operations re-check the promotion
-// pointer on every attempt, so a state created before the migration
-// participates in it the first time it acts afterwards.
+// adFAState is the capability every vertex whose obligation lives in
+// the cell shares, exactly like the fetch-and-add baseline's state (and
+// like it, deliberately not a Releaser). Operations re-check the mode
+// on every attempt, so a state created before a promotion participates
+// in it the first time it acts afterwards.
 type adFAState struct{ c *adaptiveCounter }
 
-// Increment implements State. The cell phase uses an optimistic
-// load+CAS instead of an unconditional fetch-and-add: uncontended it
-// costs the same one atomic RMW, and a failure is precisely the
-// contention signal the promotion heuristic feeds on.
+// Increment implements State.
 func (s *adFAState) Increment(g *rng.Xoshiro256ss) (State, State) {
 	return s.IncrementHomed(g, nil, nil)
 }
 
-// IncrementHomed implements HomedState: with a worker Home in scope
-// and batching enabled, the post-promotion +2 is buffered in the
-// worker's delta slot instead of hitting shared memory (see batch.go);
-// every other combination takes exactly the unbatched paths.
+// IncrementHomed implements HomedState: while the counter is buffering
+// and a worker Home is in scope, the +1 lands in the worker's delta
+// slot instead of shared memory (see batch.go). Otherwise the cell
+// takes an optimistic load+CAS instead of an unconditional
+// fetch-and-add: uncontended it costs the same one atomic RMW, and a
+// failure is precisely the contention signal promotion feeds on.
 func (s *adFAState) IncrementHomed(g *rng.Xoshiro256ss, h *Home, tag any) (State, State) {
 	c := s.c
 	chaosPromote(c) // fault seam: no-op unless built with -tags chaostest
+	if h != nil && c.buffering.Load() {
+		h.buffer(c, 1, tag) // an increment cannot report zero
+		return s, s
+	}
 	for {
-		if p := c.dyn.Load(); p != nil && !p.demoted.Load() {
-			if c.batch > 1 {
-				return c.routeIncrementBatched(p, h, tag)
-			}
-			return c.routeIncrement(p, g)
+		if a := c.anchor.Load(); a != nil {
+			return c.routeIncrement(a.owner, g)
 		}
 		v := c.cell.Load()
 		if c.cell.CompareAndSwap(v, v+1) {
@@ -443,10 +424,16 @@ func (s *adFAState) IncrementHomed(g *rng.Xoshiro256ss, h *Home, tag any) (State
 }
 
 // Decrement implements State.
-func (s *adFAState) Decrement() bool {
+func (s *adFAState) Decrement() bool { return s.DecrementHomed(nil, nil) }
+
+// DecrementHomed implements HomedState; see IncrementHomed.
+func (s *adFAState) DecrementHomed(h *Home, tag any) bool {
 	c := s.c
+	if h != nil && c.buffering.Load() {
+		return h.buffer(c, -1, tag)
+	}
 	for {
-		if p := c.dyn.Load(); p != nil && !p.demoted.Load() {
+		if c.anchor.Load() != nil {
 			return c.cellDec()
 		}
 		v := c.cell.Load()
@@ -454,24 +441,8 @@ func (s *adFAState) Decrement() bool {
 			panic("counter: adaptive cell went negative (unbalanced decrement)")
 		}
 		if c.cell.CompareAndSwap(v, v-1) {
-			if v != 1 {
-				return false
-			}
-			// The cell just drained. A promotion may have been installed
-			// between the check above and the winning CAS; because
-			// Go's atomics are sequentially consistent and every
-			// dependency that entered the in-counter did so before its
-			// cell obligation was discharged (routeIncrement's order),
-			// re-reading the pointer after the draining CAS is
-			// guaranteed to observe any promotion that real
-			// dependencies could have reached (cellDrained re-reads).
-			return c.cellDrained()
+			return v == 1 && c.cellDrained()
 		}
 		c.noteMiss()
 	}
 }
-
-// DecrementHomed implements HomedState. A cell obligation's discharge
-// is never buffered (the cell is not the batched representation), so
-// this is Decrement.
-func (s *adFAState) DecrementHomed(h *Home, tag any) bool { return s.Decrement() }

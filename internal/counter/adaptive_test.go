@@ -26,6 +26,9 @@ func TestAdaptiveCounterLayout(t *testing.T) {
 	if o := unsafe.Offsetof(c.misses); o != 64 {
 		t.Fatalf("offsetof(misses) = %d, want 64 (cell alone on line 0)", o)
 	}
+	if o := unsafe.Offsetof(c.buffering); o < 64 {
+		t.Fatalf("offsetof(buffering) = %d, want it on the cold line", o)
+	}
 }
 
 func TestParseAdaptiveRoundTrip(t *testing.T) {
@@ -191,14 +194,109 @@ func TestAdaptiveForcedPromotionSequential(t *testing.T) {
 	}
 }
 
+// TestPromotePin pins the promotion protocol's edge cases without
+// relying on scheduling: the promoter's pin is a CAS that fails at
+// zero, so a drained counter is never promoted, and a pinned install is
+// always followed by the cell drain that discharges its anchor.
+func TestPromotePin(t *testing.T) {
+	t.Run("drained counter", func(t *testing.T) {
+		alg := NewAdaptive(0, 1)
+		c := alg.New(1).(*adaptiveCounter)
+		if !c.RootState().Decrement() {
+			t.Fatal("sole decrement did not report zero")
+		}
+		if c.pin() {
+			t.Fatal("pin succeeded on a drained cell")
+		}
+		if c.promote() {
+			t.Fatal("promote on a drained counter reported zero")
+		}
+		if !c.IsZero() || c.cell.Load() != 0 {
+			t.Fatalf("drained counter disturbed by promote: IsZero=%v cell=%d", c.IsZero(), c.cell.Load())
+		}
+		if c.anchor.Load() != nil || c.Promoted() || alg.Promotions() != 0 {
+			t.Fatalf("promote on a drained counter installed (promotions=%d)", alg.Promotions())
+		}
+	})
+	t.Run("eager with no initial obligation", func(t *testing.T) {
+		alg, err := Parse("adaptive:0", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := alg.New(0).(*adaptiveCounter)
+		if c.anchor.Load() != nil || !c.IsZero() || alg.(Adaptive).Promotions() != 0 {
+			t.Fatal("adaptive:0 promoted a counter born at zero")
+		}
+	})
+	t.Run("one live obligation", func(t *testing.T) {
+		alg := NewAdaptive(0, 1)
+		c := alg.New(1).(*adaptiveCounter)
+		if c.promote() {
+			t.Fatal("promote reported zero under a live obligation")
+		}
+		if c.anchor.Load() == nil || alg.Promotions() != 1 {
+			t.Fatal("promote under a live obligation did not install")
+		}
+		if c.cell.Load() != 1 || c.IsZero() {
+			t.Fatalf("pin not released cleanly: cell=%d IsZero=%v", c.cell.Load(), c.IsZero())
+		}
+		if !c.RootState().Decrement() {
+			t.Fatal("the drain after a pinned install did not report zero")
+		}
+		if !c.IsZero() {
+			t.Fatal("anchor not discharged by the cell drain")
+		}
+	})
+	// The pin racing the draining decrement: whichever order the two
+	// land in, there is exactly one zero report (the decrement's, or the
+	// pin release's when the pin got in first), and an install exists
+	// only if its anchor has been discharged.
+	t.Run("pin against the draining decrement", func(t *testing.T) {
+		for it := 0; it < 2000; it++ {
+			alg := NewAdaptive(0, 1)
+			c := alg.New(1).(*adaptiveCounter)
+			var zeros atomic.Int32
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				if c.RootState().Decrement() {
+					zeros.Add(1)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				if c.promote() {
+					zeros.Add(1)
+				}
+			}()
+			wg.Wait()
+			if z := zeros.Load(); z != 1 {
+				t.Fatalf("iter %d: %d zero reports, want 1 (installed=%v)", it, z, c.anchor.Load() != nil)
+			}
+			if !c.IsZero() {
+				t.Fatalf("iter %d: not zero after drain (installed=%v)", it, c.anchor.Load() != nil)
+			}
+			want := uint64(0)
+			if c.anchor.Load() != nil {
+				want = 1
+			}
+			if got := alg.Promotions(); got != want {
+				t.Fatalf("iter %d: Promotions = %d with installed=%v", it, got, want == 1)
+			}
+		}
+	})
+}
+
 // TestAdaptivePromotionUnderFire is the promotion stress test of the
 // anchor handoff: a goroutine-parallel fanin hammers the counter while
-// the migration fires mid-flight (forced at a jittered moment, plus
-// organic promotion at contention threshold 1). A shadow count of live
-// states — always decremented before the real Decrement — catches the
-// counter reaching zero while obligations are still outstanding, and a
-// watchdog catches the opposite failure (an anchor never discharged:
-// no zero report, the drain hangs).
+// the migration fires mid-flight (forced from outside, wherever in the
+// fanin's life that lands — including after the drain, where the pin
+// fails — plus organic promotion at contention threshold 1). A shadow
+// count of live states — always decremented before the real Decrement —
+// catches the counter reaching zero while obligations are still
+// outstanding, and a watchdog catches the opposite failure (an anchor
+// never discharged: no zero report, the drain hangs).
 func TestAdaptivePromotionUnderFire(t *testing.T) {
 	iters := 200
 	if testing.Short() {
@@ -223,6 +321,17 @@ func TestAdaptivePromotionUnderFire(t *testing.T) {
 		var zeros atomic.Int32
 		var earlyZero atomic.Int32
 		var wg sync.WaitGroup
+		// Every live state's shadow unit is retired strictly before its
+		// real operation, and the zeroing operation is ordered after
+		// every other real decrement — so a correct counter always
+		// observes 0 here, while an early zero still sees the units of
+		// states that have not begun their final operation.
+		onZero := func() {
+			zeros.Add(1)
+			if shadow.Load() != 0 {
+				earlyZero.Add(1)
+			}
+		}
 
 		const depth = 7 // 128 leaves per round
 		var rec func(s State, d int, g *rng.Xoshiro256ss)
@@ -231,16 +340,7 @@ func TestAdaptivePromotionUnderFire(t *testing.T) {
 			if d == 0 {
 				shadow.Add(-1)
 				if s.Decrement() {
-					zeros.Add(1)
-					// Every live state's shadow unit is retired strictly
-					// before its real operation, and the zeroing decrement
-					// is ordered after every other real decrement — so a
-					// correct counter always observes 0 here, while an
-					// early zero still sees the units of states that have
-					// not begun their final operation.
-					if shadow.Load() != 0 {
-						earlyZero.Add(1)
-					}
+					onZero()
 				}
 				return
 			}
@@ -254,8 +354,11 @@ func TestAdaptivePromotionUnderFire(t *testing.T) {
 		go rec(c.RootState(), depth, rng.NewXoshiro(seed))
 		if it%2 == 0 {
 			// ... and a forced migration racing the fanin from outside.
-			time.Sleep(time.Duration(it%5) * 10 * time.Microsecond)
-			c.promote()
+			// Its pin is an obligation like any other: released last, it
+			// carries the zero report.
+			if c.promote() {
+				onZero()
+			}
 		}
 		wg.Wait()
 
@@ -280,11 +383,11 @@ func TestAdaptivePromotedNodeCount(t *testing.T) {
 	alg := NewAdaptive(0, 1)
 	c := alg.New(1).(*adaptiveCounter)
 	c.promote()
-	if c.Unwrap() == nil {
-		t.Fatal("Unwrap nil after promotion")
+	if c.anchor.Load() == nil {
+		t.Fatal("no in-counter installed by promote")
 	}
-	if n := c.NodeCount(); n != 1+c.Unwrap().NodeCount() {
-		t.Fatalf("NodeCount = %d, want 1+%d", n, c.Unwrap().NodeCount())
+	if n, tree := c.NodeCount(), c.anchor.Load().owner.NodeCount(); n != 1+tree {
+		t.Fatalf("NodeCount = %d, want 1+%d", n, tree)
 	}
 	g := rng.NewXoshiro(5)
 	s := c.RootState()
@@ -314,9 +417,9 @@ func TestAdaptiveDoublePromoteIsIdempotent(t *testing.T) {
 	alg := NewAdaptive(0, 1)
 	c := alg.New(1).(*adaptiveCounter)
 	c.promote()
-	first := c.Unwrap()
+	first := c.anchor.Load()
 	c.promote()
-	if c.Unwrap() != first {
+	if c.anchor.Load() != first {
 		t.Fatal("second promote replaced the in-counter")
 	}
 	if alg.Promotions() != 1 {

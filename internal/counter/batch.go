@@ -1,48 +1,37 @@
 package counter
 
-// This file implements the batched frontend tier of the adaptive
-// counter (spec `adaptive:K:batch`, DESIGN.md §13): once a counter has
-// promoted to the in-counter, each worker accumulates that counter's
-// increments and decrements in a private, cache-padded delta slot and
-// flushes the net delta into the SNZI root in one weighted RMW — when
-// |delta| crosses the batch threshold, at worker idle boundaries, or
-// before park/retire (the scheduler's flush hooks). A fan-in storm of
-// B operations thus costs O(B/batch) shared RMWs instead of O(B).
+// This file implements the batched frontend of the adaptive counter
+// (spec `adaptive:K:batch`, DESIGN.md §6): while a counter is in
+// buffering mode, each worker accumulates that counter's increments and
+// decrements in a private, cache-padded delta slot and settles the net
+// delta against the counter's cell in one weighted RMW — when −delta
+// crosses the batch threshold, at worker idle boundaries, or before
+// park/retire (the scheduler's flush hooks). A fan-in storm of B
+// operations thus costs O(B/batch) shared RMWs instead of O(B).
 //
-// Soundness rests on one rule: a slot holds an ANCHOR — anchor raw
-// root-arrive units on the phase's in-counter, applied before the
-// deltas they cover — maintaining the per-slot invariant
+// Soundness rests on one rule: a slot holds an ANCHOR — anchor units
+// already added to the cell, before the deltas they cover —
+// maintaining the per-slot invariant
 //
-//	delta ≤ anchor   (anchor ≥ 1 while the slot is active)
+//	delta ≤ anchor
 //
 // grown in batch-sized chunks when buffered increments would exceed
 // it, and released only by the flush (folded into the weighted
-// update: a flush applies delta − anchor, always a depart or a no-op).
-// The root ledger then reads
+// update: a flush applies delta − anchor, always ≤ 0). The cell's
+// ledger then reads
 //
-//	surplus(root) = live obligations + Σ_slots (anchor_i − delta_i)
+//	cell = live obligations + Σ_slots (anchor_i − delta_i)
 //
-// with every term non-negative: a buffered decrement's obligation is
-// live until its flush applies, and a buffered increment never
-// outruns its slot's applied anchor units. So no flush's depart can
-// underflow the root — even when a stolen subtree puts the decrements
-// on a different worker than the (still buffered) increments that
-// created them — and the in-counter cannot transiently read zero
-// while any slot holds pending state. The zero report comes from
-// exactly one place: the flush (or direct depart) whose weighted
-// update drains the root.
-//
-// Demotion (the burst-recovery path): a flush that observes a calm
-// streak — demoteCalm consecutive retry-free root updates — migrates
-// the counter back to the cell. The handoff mirrors promotion's anchor
-// trick in the other direction: the demoting flush installs one extra
-// CELL obligation (the demotion anchor) before flipping the phase's
-// demoted bit, holding the cell non-zero until the phase's in-counter
-// drains; the unique operation that zeroes the demoted in-counter
-// discharges it (dynZero → cellDec), chaining the composite's zero
-// through the cell. Demotion is only decided inside a flush, while the
-// flusher's own slot anchor pins the in-counter non-zero — which is
-// what makes the install race-free against a concurrent drain.
+// with every term non-negative: a buffered decrement's obligation
+// stays in the cell until its flush applies, and a buffered increment
+// never outruns its slot's pre-paid units. So no flush can take the
+// cell negative — even when a stolen subtree puts the decrements on a
+// different worker than the (still buffered) increments that created
+// them — the cell cannot read zero while any obligation is live or any
+// slot is unsettled, and whoever operates on a live state finds the
+// cell ≥ 1 (what makes acquiring a chunk sound). The zero report comes
+// from exactly one place: the direct decrement or flush that takes the
+// cell to zero. The mode flag appears nowhere in this argument.
 
 import (
 	"sync/atomic"
@@ -50,12 +39,12 @@ import (
 	"repro/internal/rng"
 )
 
-// demoteCalm is the demotion streak: a promoted counter migrates back
-// to the cell after this many consecutive calm flushes. A flush is one
-// observation window, and it is calm only if it was both retry-free
-// (no CAS contention on the root) and undersubscribed (a boundary or
-// staleness flush whose delta never reached the batch threshold —
-// threshold-triggered flushes mean the tier is absorbing a storm, and
+// demoteCalm is the demotion streak: a buffering counter drops back to
+// direct cell operations after this many consecutive calm flushes. A
+// flush is one observation window, and it is calm only if it was both
+// retry-free (no CAS contention on the cell) and undersubscribed (a
+// boundary or staleness flush whose traffic never reached the batch
+// threshold — full windows mean the tier is absorbing a storm, and
 // storms must not demote no matter how cleanly their flushes land).
 // Any contended update resets the streak — the windowed decay of the
 // promotion signal. Demotion also resets the counter's cumulative
@@ -65,10 +54,10 @@ const demoteCalm = 8
 // HomedState is implemented by counter states that can buffer their
 // operations in a worker-local Home. The sp-dag runtime probes for it
 // on the Spawn/Signal hot path (like Releaser, per State object — the
-// adaptive counter hands out homed states in every phase, other
-// algorithms none) and passes the finish vertex as the opaque tag: a
-// buffered decrement's zero report surfaces later, from a flush, and
-// the tag is how the runtime knows which vertex became ready.
+// adaptive counter's shared state is homed, no other algorithm's is)
+// and passes the finish vertex as the opaque tag: a buffered
+// decrement's zero report surfaces later, from a flush, and the tag is
+// how the runtime knows which vertex became ready.
 type HomedState interface {
 	State
 	// IncrementHomed is Increment with a worker Home in scope (h may
@@ -112,71 +101,61 @@ func (h *Home) Flushes() uint64 { return h.flushes.Load() }
 // buffered unit is one shared RMW the unbatched tier would have paid.
 func (h *Home) LocalIncs() uint64 { return h.localIncs.Load() }
 
-// slot is one counter-phase's pending delta on this worker. It is
-// padded to a cache line so neighboring slots (and the Home header)
-// never share one: the owner rewrites delta on every buffered op while
-// other lines of the slice stay read-mostly.
+// slot is one counter's pending delta on this worker. It is padded to
+// a cache line so neighboring slots (and the Home header) never share
+// one: the owner rewrites delta on every buffered op while other lines
+// of the slice stay read-mostly.
 type slot struct {
 	c     *adaptiveCounter
-	p     *promotion
 	delta int64
 	units uint64 // traffic absorbed since activation (see flushSlot)
-	anch  uint64 // applied root-arrive units; invariant delta ≤ anch
+	anch  uint64 // units pre-paid into the cell; invariant delta ≤ anch
 	tag   any    // the finish vertex the zero report belongs to
-	_     [8]byte
+	_     [16]byte
 }
 
-// buffer adds d to this worker's pending delta for phase p (acquiring
-// the slot anchor on activation). A positive delta is never allowed to
-// exceed the slot's applied anchor units — when it would, the anchor
-// grows by a batch-sized chunk (one shared arrive covering the next
-// batch of buffered increments, the arrive side's amortization). The
-// decrement side flushes in-line when the delta reaches −batch. The
+// buffer adds the unit operation d (±1) to this worker's pending delta
+// for c. A positive delta is never allowed to exceed the slot's anchor
+// — when it would, the slot pre-pays another chunk: batch units added
+// to the cell in ONE weighted RMW, cover for the next batch of buffered
+// increments, so the common window costs exactly two shared RMWs — the
+// chunk and the flush — regardless of how many units it absorbs. It is
+// sound because the caller operates on a live state, so the cell is
+// non-zero. Contention on the acquire resets the calm streak; a clean
+// acquire is not itself a calm observation (activations open every
+// quiet spawn cycle — counting them would double the streak's rate).
+// The decrement side flushes in-line when the delta reaches −batch. The
 // return value is the counter's zero report — possible only from a
 // decrement-triggered threshold flush, and then the caller is the
 // vertex whose Signal is in progress, so it handles the report exactly
 // like an unbuffered Decrement's.
-func (h *Home) buffer(c *adaptiveCounter, p *promotion, d int64, tag any) bool {
-	s := h.slotFor(c, p)
+func (h *Home) buffer(c *adaptiveCounter, d int64, tag any) bool {
+	s := h.slotFor(c)
 	s.delta += d
 	s.tag = tag
-	if d < 0 {
-		d = -d
-	}
-	s.units += uint64(d)
-	h.localIncs.Add(uint64(d))
+	s.units++
+	h.localIncs.Add(1)
 	if s.delta > int64(s.anch) {
-		grow := int64(c.batch)
-		if need := s.delta - int64(s.anch); need > grow {
-			grow = need
-		}
-		_, retries := p.dc.c.AddRoot(grow)
+		_, retries := c.cellAdd(int64(c.batch))
 		h.flushes.Add(1)
-		s.anch += uint64(grow)
+		s.anch += c.batch
 		if retries > 0 {
-			p.calm.Store(0)
+			c.calm.Store(0)
 		}
-		return false
-	}
-	if -s.delta >= int64(c.batch) {
+	} else if -s.delta >= int64(c.batch) {
 		zero, _ := h.flushSlot(s)
 		return zero
 	}
 	return false
 }
 
-// slotFor finds the active slot for phase p, activating one if none
-// exists. Activation acquires the slot anchor: a batch-sized chunk of
-// root-arrive units in ONE weighted RMW (sound because the caller
-// holds an obligation that keeps the in-counter non-zero), pre-paying
-// cover for the next batch of buffered increments so the common
-// window costs exactly two shared RMWs — the anchor and the flush —
-// regardless of how many units it absorbs. The scan is linear: a
-// worker touches very few distinct promoted counters between flush
-// boundaries.
-func (h *Home) slotFor(c *adaptiveCounter, p *promotion) *slot {
+// slotFor finds the active slot for c, activating an empty one if none
+// exists (its first buffered increment acquires the first chunk). The
+// scan is linear: a worker touches very few distinct buffering counters
+// between flush boundaries.
+func (h *Home) slotFor(c *adaptiveCounter) *slot {
 	for _, s := range h.active {
-		if s.p == p {
+		if s.c == c {
 			return s
 		}
 	}
@@ -186,20 +165,7 @@ func (h *Home) slotFor(c *adaptiveCounter, p *promotion) *slot {
 	} else {
 		s = new(slot)
 	}
-	b := int64(c.batch)
-	if b < 1 {
-		b = 1
-	}
-	s.c, s.p, s.delta, s.units, s.anch, s.tag = c, p, 0, 0, uint64(b), nil
-	_, retries := p.dc.c.AddRoot(b) // the slot anchor chunk
-	h.flushes.Add(1)
-	if retries > 0 {
-		// Contention on the anchor acquire resets the calm streak; a
-		// clean acquire is not itself a calm observation (activations
-		// open every quiet boundary cycle — counting them would double
-		// the streak's rate), so it leaves the streak alone.
-		p.calm.Store(0)
-	}
+	*s = slot{c: c}
 	h.active = append(h.active, s)
 	return s
 }
@@ -223,23 +189,19 @@ func (h *Home) FlushAll(ready func(tag any)) {
 	}
 }
 
-// flushSlot deactivates s and applies its pending delta d to the
-// phase's in-counter root as one weighted update of d − anchor,
-// releasing the anchor units with it. The delta ≤ anchor invariant
-// makes the update a depart or a no-op (d == anchor costs zero RMWs —
-// the delta folded entirely into already-applied arrives). The calm
-// signal is judged on the slot's absorbed TRAFFIC (units), not its net
-// delta: a storm of interleaved increments and decrements cancels to a
-// tiny delta — the coalescing win itself — and must still read as hot,
-// or staleness-cap flushes during a storm would build a bogus calm
-// streak and demote mid-storm. A full window (units ≥ batch) resets
-// the streak. The demotion decision runs first, while the anchor still
-// pins the in-counter non-zero — see demote for why that ordering is
-// the install's whole correctness argument.
+// flushSlot deactivates s and settles its pending delta d against the
+// cell as one weighted update of d − anchor, releasing the anchor units
+// with it. The delta ≤ anchor invariant makes the update a decrease or
+// a no-op (d == anchor costs zero RMWs — the delta folded entirely into
+// pre-paid units). The calm signal is judged on the slot's absorbed
+// TRAFFIC (units), not its net delta: a storm of interleaved increments
+// and decrements cancels to a tiny delta — the coalescing win itself —
+// and must still read as hot, or staleness-cap flushes during a storm
+// would build a bogus calm streak and demote mid-storm.
 func (h *Home) flushSlot(s *slot) (zero bool, tag any) {
-	c, p, d, tag := s.c, s.p, s.delta, s.tag
+	c, tag := s.c, s.tag
 	full := s.units >= c.batch
-	k := d - int64(s.anch)
+	k := s.delta - int64(s.anch)
 	for i, as := range h.active {
 		if as == s {
 			last := len(h.active) - 1
@@ -249,170 +211,48 @@ func (h *Home) flushSlot(s *slot) (zero bool, tag any) {
 			break
 		}
 	}
-	s.c, s.p, s.tag = nil, nil, nil
+	s.c, s.tag = nil, nil
 	h.free = append(h.free, s)
 
 	if k > 0 {
 		panic("counter: batched slot delta exceeds its anchor (buffer invariant broken)")
 	}
-
-	if !p.demoted.Load() && p.anchor.Load() == nil && p.calm.Load() >= demoteCalm {
-		c.demote(p)
-	}
-
+	retries := 0
 	if k != 0 {
-		var retries int
-		zero, retries = p.dc.c.AddRoot(k)
+		var n int64
+		n, retries = c.cellAdd(k)
 		h.flushes.Add(1)
-		p.observeFlush(retries, full)
-	} else {
-		// The delta folded entirely into the anchor: no RMW to observe,
-		// but the window still counts toward the demotion signal.
-		p.observeFlush(0, full)
+		zero = n == 0
 	}
-	if zero {
-		return c.dynZero(p), tag
-	}
-	return false, tag
+	c.observeFlush(retries, full)
+	return zero, tag
 }
 
 // observeFlush feeds one flush's contention observation into the
 // demotion signal: a retry-free under-threshold window extends the
-// calm streak; a contended update or a full window (batch-or-more
-// units absorbed) resets it. Full windows reset rather than merely
-// not counting because they are direct evidence of storm-rate
-// traffic — a counter absorbing a storm must not demote between
-// bursts on the strength of a few quiet boundary windows that
-// happened to interleave.
-func (p *promotion) observeFlush(retries int, full bool) {
+// calm streak, and the window that completes a streak of demoteCalm
+// demotes; a contended update or a full window (batch-or-more units
+// absorbed) resets it. Full windows reset rather than merely not
+// counting because they are direct evidence of storm-rate traffic — a
+// counter absorbing a storm must not demote between bursts on the
+// strength of a few quiet boundary windows that happened to interleave.
+func (c *adaptiveCounter) observeFlush(retries int, full bool) {
 	if retries > 0 || full {
-		p.calm.Store(0)
-		return
+		c.calm.Store(0)
+	} else if c.calm.Add(1) >= demoteCalm {
+		c.demote()
 	}
-	p.calm.Add(1)
 }
 
-// demote migrates a calm promoted counter back to the cell. It must
-// only be called from a flush, before that flush's weighted update is
-// applied: the flusher's slot anchor holds p's in-counter non-zero,
-// so p's zero report — which is what consumes the demotion anchor —
-// cannot fire anywhere in the install window. The install is one cell
-// increment (the demotion anchor) followed by the demoted CAS; a
-// losing racer undoes its increment, which cannot drain the cell
-// because the winner's anchor is in it and no cell obligations exist
-// (the demotion precondition — promo anchor discharged — means the
-// cell had drained).
-func (c *adaptiveCounter) demote(p *promotion) {
-	c.cell.Add(1)
-	if !p.demoted.CompareAndSwap(false, true) {
-		c.cell.Add(-1)
+// demote clears the buffering flag of a calm counter: operations go
+// back to the cell directly, slots still open on other workers settle
+// at their next flush, and re-promotion needs a fresh contention burst.
+func (c *adaptiveCounter) demote() {
+	if !c.buffering.CompareAndSwap(true, false) {
 		return
 	}
-	c.misses.Store(0) // decay: re-promotion needs a fresh contention burst
+	c.misses.Store(0)
 	if c.stats != nil {
 		c.stats.Demotions.Add(1)
 	}
-}
-
-// dynZero routes phase p's in-counter zero report. For a live phase
-// the report IS the composite's: the phase's promo anchor was
-// discharged by the cell drain, which strictly precedes any in-counter
-// zero, so both sides are drained. For a demoted phase the report
-// discharges the demotion anchor instead — one cell decrement, whose
-// own drain (now or after the remaining cell obligations go) carries
-// the composite's zero, possibly chaining through a re-promoted
-// phase's promo anchor (cellDrained).
-func (c *adaptiveCounter) dynZero(p *promotion) bool {
-	if p.demoted.Load() {
-		return c.cellDec()
-	}
-	return true
-}
-
-// dynAdd registers d (> 0) new obligations on phase p's in-counter:
-// buffered in the worker's slot when a Home is in scope, one direct
-// weighted root arrive otherwise (inline contexts without a worker).
-func (c *adaptiveCounter) dynAdd(p *promotion, h *Home, d int64, tag any) {
-	if h != nil {
-		h.buffer(c, p, d, tag) // positive delta: a zero report is impossible
-		return
-	}
-	p.dc.c.AddRoot(d)
-}
-
-// routeIncrementBatched is routeIncrement for batch mode: the two
-// child obligations enter the in-counter as a +2 delta, and only then
-// is the caller's cell obligation discharged — same non-dipping order
-// as the unbatched route, with the slot anchor (a real, already
-// applied root arrive) covering the buffered +2 while the promo anchor
-// is discharged. Both children receive the phase's shared batched
-// state; no per-spawn in-counter states exist in batch mode, which is
-// what lets deltas coalesce at all.
-func (c *adaptiveCounter) routeIncrementBatched(p *promotion, h *Home, tag any) (State, State) {
-	c.dynAdd(p, h, 2, tag)
-	if c.cellDec() {
-		// The buffered/applied +2 is covered by a root unit (slot
-		// anchor or the direct arrive), so even the promo-anchor
-		// discharge cannot have zeroed the in-counter.
-		panic("counter: adaptive counter drained during an increment")
-	}
-	return &p.bs, &p.bs
-}
-
-// batchedState is one phase's shared post-promotion capability in
-// batch mode: every vertex whose obligation lives in this phase's
-// in-counter holds this single state (like the cell's adFAState, it is
-// deliberately not a Releaser). Obligation accounting: Increment turns
-// one in-counter obligation into two (net +1); Decrement discharges
-// one (net −1). The state is bound to ITS phase, not the counter's
-// current one — obligations buffered under an old phase must resolve
-// against that phase's in-counter even after a demotion and
-// re-promotion have moved the counter on.
-type batchedState struct {
-	c *adaptiveCounter
-	p *promotion
-}
-
-// Increment implements State.
-func (s *batchedState) Increment(g *rng.Xoshiro256ss) (State, State) {
-	return s.IncrementHomed(g, nil, nil)
-}
-
-// IncrementHomed implements HomedState.
-func (s *batchedState) IncrementHomed(g *rng.Xoshiro256ss, h *Home, tag any) (State, State) {
-	c, p := s.c, s.p
-	if !p.demoted.Load() {
-		c.dynAdd(p, h, 1, tag)
-		return s, s
-	}
-	// The phase demoted: new obligations re-enter the cell (+2, plain
-	// adds — this op is backed by an in-counter obligation, not a cell
-	// state, so the optimistic-CAS contention sampling does not apply;
-	// re-promotion pressure comes from the cell-state traffic), and
-	// only then is the caller's in-counter obligation discharged. The
-	// order keeps the composite non-zero: the demotion anchor holds
-	// the cell ≥ 1 while this phase's in-counter is non-zero.
-	c.cell.Add(2)
-	if s.DecrementHomed(h, tag) {
-		// The discharge cannot report zero: its dynZero would chain
-		// into a cellDec that lands on the +2 just added.
-		panic("counter: adaptive counter drained during an increment")
-	}
-	return &c.fa, &c.fa
-}
-
-// Decrement implements State.
-func (s *batchedState) Decrement() bool { return s.DecrementHomed(nil, nil) }
-
-// DecrementHomed implements HomedState.
-func (s *batchedState) DecrementHomed(h *Home, tag any) bool {
-	c, p := s.c, s.p
-	if h != nil {
-		return h.buffer(c, p, -1, tag)
-	}
-	zero, _ := p.dc.c.AddRoot(-1)
-	if zero {
-		return c.dynZero(p)
-	}
-	return false
 }

@@ -23,9 +23,9 @@ func eagerBatched(t *testing.T, batch uint64) (*adaptiveCounter, *AdaptiveStats)
 
 // TestHomeLedgerAndAnchorFolding walks the ledger through one worker's
 // buffered lifecycle and pins the exact RMW accounting: one anchor
-// chunk per slot activation, one weighted depart per flush, and the
-// fold case — a flush whose delta exactly equals its anchor — costing
-// zero RMWs.
+// chunk when buffered increments first need cover, one weighted update
+// per flush, and the fold case — a flush whose delta exactly equals its
+// anchor — costing zero RMWs.
 func TestHomeLedgerAndAnchorFolding(t *testing.T) {
 	c, _ := eagerBatched(t, 8)
 	h := NewHome()
@@ -33,38 +33,44 @@ func TestHomeLedgerAndAnchorFolding(t *testing.T) {
 
 	root := c.RootState().(HomedState)
 	l, r := root.IncrementHomed(g, h, "fin")
-	// The increment buffered +2 behind a freshly acquired anchor chunk
-	// (8 units in one RMW), two buffered units.
+	// The increment buffered +1 behind a freshly acquired anchor chunk
+	// (8 units in one RMW).
 	if got := h.Flushes(); got != 1 {
 		t.Fatalf("flushes after homed increment = %d, want 1 (the anchor chunk)", got)
 	}
-	if got := h.LocalIncs(); got != 2 {
-		t.Fatalf("localIncs after homed increment = %d, want 2", got)
+	if got := h.LocalIncs(); got != 1 {
+		t.Fatalf("localIncs after homed increment = %d, want 1", got)
 	}
 	if !h.Active() {
 		t.Fatal("home inactive with a pending delta")
+	}
+	if got := c.cell.Load(); got != 9 {
+		t.Fatalf("cell = %d, want 9 (one obligation + the 8-unit chunk)", got)
 	}
 
 	if l.(HomedState).DecrementHomed(h, "fin") {
 		t.Fatal("buffered decrement reported zero with live obligations")
 	}
-	if got := h.LocalIncs(); got != 3 {
-		t.Fatalf("localIncs after buffered decrement = %d, want 3", got)
+	if got := h.LocalIncs(); got != 2 {
+		t.Fatalf("localIncs after buffered decrement = %d, want 2", got)
 	}
 
-	// Boundary flush with net delta +1 against an 8-unit anchor: one
-	// weighted depart returns the 7 unused units.
+	// Boundary flush with net delta 0 against an 8-unit anchor: one
+	// weighted update returns the 8 unused units.
 	h.FlushAll(func(any) { t.Fatal("flush reported zero with a live obligation") })
 	if got := h.Flushes(); got != 2 {
-		t.Fatalf("flushes after boundary flush = %d, want 2 (anchor + flush depart)", got)
+		t.Fatalf("flushes after boundary flush = %d, want 2 (chunk + flush)", got)
 	}
 	if h.Active() {
 		t.Fatal("home active after FlushAll")
 	}
+	if got := c.cell.Load(); got != 1 {
+		t.Fatalf("cell = %d after settling, want 1 (the one live obligation)", got)
+	}
 
-	// The final obligation: buffered decrement, then a boundary flush
-	// whose weighted depart drains the counter; the zero arrives via the
-	// ready callback, tagged with the finish vertex.
+	// The final obligation: a buffered decrement needs no anchor, and the
+	// boundary flush that settles it drains the counter; the zero arrives
+	// via the ready callback, tagged with the finish vertex.
 	if r.(HomedState).DecrementHomed(h, "fin2") {
 		t.Fatal("buffered decrement reported zero before its flush")
 	}
@@ -80,12 +86,11 @@ func TestHomeLedgerAndAnchorFolding(t *testing.T) {
 	if !c.IsZero() {
 		t.Fatal("counter not zero after drain")
 	}
-	// Second slot: anchor chunk (1 RMW) + draining depart (1 RMW).
-	if got := h.Flushes(); got != 4 {
-		t.Fatalf("flushes after drain = %d, want 4", got)
+	if got := h.Flushes(); got != 3 {
+		t.Fatalf("flushes after drain = %d, want 3", got)
 	}
-	if got := h.LocalIncs(); got != 4 {
-		t.Fatalf("localIncs after drain = %d, want 4", got)
+	if got := h.LocalIncs(); got != 3 {
+		t.Fatalf("localIncs after drain = %d, want 3", got)
 	}
 
 	// The fold case, on a fresh counter with batch=2: a +2 delta
@@ -94,6 +99,7 @@ func TestHomeLedgerAndAnchorFolding(t *testing.T) {
 	c2, _ := eagerBatched(t, 2)
 	h2 := NewHome()
 	l2, r2 := c2.RootState().(HomedState).IncrementHomed(g, h2, nil)
+	l2, m2 := l2.(HomedState).IncrementHomed(g, h2, nil)
 	if got := h2.Flushes(); got != 1 {
 		t.Fatalf("fold setup flushes = %d, want 1", got)
 	}
@@ -102,11 +108,10 @@ func TestHomeLedgerAndAnchorFolding(t *testing.T) {
 		t.Fatalf("flushes after delta==anchor flush = %d, want 1 (anchor folding)", got)
 	}
 	zeros := 0
-	if l2.(HomedState).DecrementHomed(h2, nil) {
-		zeros++
-	}
-	if r2.(HomedState).DecrementHomed(h2, nil) { // −2 hits the threshold inline
-		zeros++
+	for _, s := range []State{l2, m2, r2} { // the second −1 hits the threshold inline
+		if s.(HomedState).DecrementHomed(h2, nil) {
+			zeros++
+		}
 	}
 	h2.FlushAll(func(any) { zeros++ })
 	if zeros != 1 {
@@ -119,7 +124,7 @@ func TestHomeLedgerAndAnchorFolding(t *testing.T) {
 
 // TestHomeThresholdFlush pins the two in-op shared-RMW triggers: on
 // the increment side the anchor chunk covers a full batch of buffered
-// arrives (no inline flush — the slot stays active with delta up to
+// increments (no inline flush — the slot stays active with delta up to
 // the chunk), and on the decrement side the delta reaching −batch
 // flushes inline, without waiting for a boundary, delivering the zero
 // report through the in-progress Signal when the flush drains the
@@ -129,16 +134,13 @@ func TestHomeThresholdFlush(t *testing.T) {
 	h := NewHome()
 	g := rng.NewXoshiro(1)
 
-	s := c.RootState().(HomedState)
-	var live []State
-	l, r := s.IncrementHomed(g, h, nil) // delta +2
-	live = append(live, l, r)
-	for i := 0; i < 2; i++ { // +1 each: delta hits 4, the chunk's cover
+	live := []State{c.RootState()}
+	for i := 0; i < 4; i++ { // +1 each: delta hits 4, the chunk's cover
 		nl, nr := live[len(live)-1].(HomedState).IncrementHomed(g, h, nil)
 		live[len(live)-1] = nl
 		live = append(live, nr)
 	}
-	// One anchor chunk covers all four buffered arrives; no flush yet.
+	// One anchor chunk covers all four buffered increments; no flush yet.
 	if got := h.Flushes(); got != 1 {
 		t.Fatalf("flushes after a chunk's worth of increments = %d, want 1", got)
 	}
@@ -151,13 +153,21 @@ func TestHomeThresholdFlush(t *testing.T) {
 		t.Fatalf("flushes after folding boundary flush = %d, want 1", got)
 	}
 
-	// Drain: the fourth buffered decrement reaches −batch and flushes
-	// inline — the zero comes back through DecrementHomed itself.
-	zeros := 0
-	for len(live) > 0 {
+	// Five live obligations. Settle one at a boundary, then drain the
+	// other four: the fourth buffered decrement reaches −batch and
+	// flushes inline — the zero comes back through DecrementHomed itself.
+	dec := func() bool {
 		s := live[len(live)-1].(HomedState)
 		live = live[:len(live)-1]
-		if s.DecrementHomed(h, "fin") {
+		return s.DecrementHomed(h, "fin")
+	}
+	if dec() {
+		t.Fatal("early zero")
+	}
+	h.FlushAll(func(any) { t.Fatal("early zero") })
+	zeros := 0
+	for len(live) > 0 {
+		if dec() {
 			zeros++
 		}
 	}
@@ -165,7 +175,7 @@ func TestHomeThresholdFlush(t *testing.T) {
 		t.Fatal("slot still active after decrement-threshold flush")
 	}
 	if got := h.Flushes(); got != 3 {
-		t.Fatalf("flushes after drain = %d, want 3 (second chunk + threshold depart)", got)
+		t.Fatalf("flushes after drain = %d, want 3 (chunk + boundary settle + threshold flush)", got)
 	}
 	h.FlushAll(func(any) { zeros++ })
 	if zeros != 1 {
@@ -177,63 +187,81 @@ func TestHomeThresholdFlush(t *testing.T) {
 }
 
 // TestDemotionAfterCalmStreakAndRePromotion drives the full lifecycle
-// single-threaded: eager promotion → a quiet tail of calm boundary
-// flushes → demotion (with the demotion anchor carrying the handoff) →
-// cell-phase operation → forced re-promotion → final drain with
-// exactly one zero report.
+// single-threaded: eager promotion → a full window and a contended
+// window each resetting the streak → demoteCalm quiet windows demoting
+// → direct cell operation → re-promotion only after a fresh K misses →
+// final drain with exactly one zero report.
 func TestDemotionAfterCalmStreakAndRePromotion(t *testing.T) {
-	c, stats := eagerBatched(t, 4)
+	const batch, contention = 4, 3
+	alg := Adaptive{Eager: true, Batch: batch, Contention: contention, Threshold: 1, Stats: new(AdaptiveStats)}
+	c, stats := alg.New(1).(*adaptiveCounter), alg.Stats
 	h := NewHome()
 	g := rng.NewXoshiro(1)
 
-	var live []State
-	l, r := c.RootState().(HomedState).IncrementHomed(g, h, nil)
-	live = append(live, l, r)
-	h.FlushAll(func(any) { t.Fatal("early zero") })
-
-	// Quiet boundary cycles: each buffers a single unit (under the
-	// threshold) and flushes clean, extending the calm streak; the
-	// flush after the streak completes demotes.
-	for i := 0; i < demoteCalm+2; i++ {
-		nl, nr := live[len(live)-1].(HomedState).IncrementHomed(g, h, nil)
-		live[len(live)-1] = nl
-		live = append(live, nr)
+	live := []State{c.RootState()}
+	// window buffers n increments on one slot and flushes it.
+	window := func(n int) {
+		for i := 0; i < n; i++ {
+			nl, nr := live[len(live)-1].(HomedState).IncrementHomed(g, h, nil)
+			live[len(live)-1] = nl
+			live = append(live, nr)
+		}
 		h.FlushAll(func(any) { t.Fatal("early zero") })
 	}
-	if !c.Demoted() {
-		t.Fatalf("counter not demoted after %d calm boundary flushes", demoteCalm+2)
+	quiet := func(n int) {
+		for i := 0; i < n; i++ {
+			window(1)
+		}
+	}
+
+	quiet(demoteCalm - 1)
+	window(batch) // a full window: storm-rate traffic resets the streak
+	quiet(demoteCalm - 1)
+	c.observeFlush(1, false) // so does a contended one
+	quiet(demoteCalm - 1)
+	if !c.Promoted() || stats.Demotions.Load() != 0 {
+		t.Fatal("demoted without a complete calm streak")
+	}
+	quiet(1)
+	if c.Promoted() {
+		t.Fatalf("counter not demoted after %d calm boundary flushes", demoteCalm)
 	}
 	if got := stats.Demotions.Load(); got != 1 {
 		t.Fatalf("stats.Demotions = %d, want 1", got)
 	}
+
+	// Demoted: operations go straight to the cell, Home or not.
+	cellBefore, bufferedBefore := c.cell.Load(), h.LocalIncs()
+	window(1)
+	if got := c.cell.Load(); got != cellBefore+1 {
+		t.Fatalf("demoted increment did not land in the cell (%d -> %d)", cellBefore, got)
+	}
+	if got := h.LocalIncs(); got != bufferedBefore {
+		t.Fatalf("demoted increment was buffered (localIncs %d -> %d)", bufferedBefore, got)
+	}
+
+	// Re-promotion needs a fresh burst of K misses: the demotion reset
+	// whatever the counter had accumulated.
+	if c.Misses() != 0 {
+		t.Fatalf("misses = %d after demotion, want 0", c.Misses())
+	}
+	for i := 0; i < contention-1; i++ {
+		c.noteMiss()
+	}
 	if c.Promoted() {
-		t.Fatal("Promoted() true on a demoted counter")
+		t.Fatalf("re-promoted after %d misses, want %d", contention-1, contention)
 	}
-
-	// Operations on demoted-phase states route new obligations back to
-	// the cell.
-	cellBefore := c.cell.Load()
-	nl, nr := live[len(live)-1].(HomedState).IncrementHomed(g, h, nil)
-	live[len(live)-1] = nl
-	live = append(live, nr)
-	h.FlushAll(func(any) { t.Fatal("early zero") })
-	if c.cell.Load() <= cellBefore {
-		t.Fatalf("demoted-phase increment did not land in the cell (%d -> %d)", cellBefore, c.cell.Load())
-	}
-
-	// Re-promote (forced — the organic path needs a fresh miss burst)
-	// and keep operating; obligations now span three regimes: the old
-	// phase's in-counter, the cell, and the new phase's in-counter.
-	c.promote()
+	c.noteMiss()
 	if !c.Promoted() {
-		t.Fatal("re-promotion did not install a new phase")
+		t.Fatal("not re-promoted by a fresh burst of K misses")
 	}
 	if got := stats.Promotions.Load(); got != 2 {
-		t.Fatalf("stats.Promotions = %d, want 2 (eager + forced re-promotion)", got)
+		t.Fatalf("stats.Promotions = %d, want 2 (eager + re-promotion)", got)
 	}
-	nl, nr = live[len(live)-1].(HomedState).IncrementHomed(g, h, nil)
-	live[len(live)-1] = nl
-	live = append(live, nr)
+	quiet(demoteCalm - 1) // and a fresh calm streak to demote again
+	if !c.Promoted() {
+		t.Fatal("re-promoted counter demoted on a stale calm streak")
+	}
 
 	zeros := 0
 	for len(live) > 0 {
@@ -249,52 +277,6 @@ func TestDemotionAfterCalmStreakAndRePromotion(t *testing.T) {
 	}
 	if !c.IsZero() {
 		t.Fatal("counter not zero after full promote→demote→re-promote drain")
-	}
-}
-
-// TestHomeSlotReuseAcrossPhases pins that slots are keyed by phase,
-// not by counter: after a demotion and re-promotion, a buffered
-// obligation of the old phase must resolve against the old phase's
-// in-counter even while the new phase has its own active slot.
-func TestHomeSlotReuseAcrossPhases(t *testing.T) {
-	c, _ := eagerBatched(t, 64)
-	h := NewHome()
-	g := rng.NewXoshiro(1)
-
-	l, r := c.RootState().(HomedState).IncrementHomed(g, h, nil)
-	h.FlushAll(func(any) { t.Fatal("early zero") })
-	oldPhase := c.dyn.Load()
-
-	// Force the flap while both obligations are live.
-	for i := 0; i < demoteCalm+1; i++ {
-		h.slotFor(c, oldPhase)
-		h.FlushAll(func(any) { t.Fatal("early zero") })
-	}
-	if !c.Demoted() {
-		t.Fatal("not demoted")
-	}
-	c.promote()
-	if p := c.dyn.Load(); p == oldPhase {
-		t.Fatal("re-promotion kept the demoted phase")
-	}
-
-	// Buffer one op against each phase: two distinct active slots.
-	nl, nr := l.(HomedState).IncrementHomed(g, h, nil) // old phase: routes via cell (demoted)
-	zeros := 0
-	dec := func(s State) {
-		if s.(HomedState).DecrementHomed(h, nil) {
-			zeros++
-		}
-	}
-	dec(nl)
-	dec(nr)
-	dec(r)
-	h.FlushAll(func(any) { zeros++ })
-	if zeros != 1 {
-		t.Fatalf("zero reports = %d, want exactly 1", zeros)
-	}
-	if !c.IsZero() {
-		t.Fatal("counter not zero after cross-phase drain")
 	}
 }
 
@@ -368,7 +350,7 @@ func TestAdaptiveFlapStressShadow(t *testing.T) {
 					return
 				default:
 				}
-				if c.Demoted() {
+				if !c.Promoted() {
 					c.promote()
 				}
 			}
@@ -414,8 +396,7 @@ func TestAdaptiveFlapStressShadow(t *testing.T) {
 		flapWG.Wait()
 
 		if z := zeros.Load(); z != 1 {
-			t.Fatalf("iter %d: %d zero reports, want 1 (promoted=%v demoted=%v)",
-				it, z, c.Promoted(), c.Demoted())
+			t.Fatalf("iter %d: %d zero reports, want 1 (promoted=%v)", it, z, c.Promoted())
 		}
 		if earlyZeros.Load() != 0 {
 			t.Fatalf("iter %d: counter reported zero with live obligations outstanding", it)

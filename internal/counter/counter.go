@@ -1,13 +1,17 @@
 // Package counter defines the dependency-counter abstraction that the
 // sp-dag runtime is parameterized over, and implements the three
-// algorithms compared in the paper's evaluation (§5):
+// algorithms compared in the paper's evaluation (§5) plus the runtime's
+// default:
 //
 //   - Dynamic: the paper's in-counter (package core) — "dyn" in the
 //     artifact's result files;
 //   - FetchAdd: a single fetch-and-add cell — optimal at one core,
 //     heavily contended beyond;
 //   - FixedSNZI: a statically allocated complete SNZI tree of a given
-//     depth, with operations hashed across the leaves.
+//     depth, with operations hashed across the leaves;
+//   - Adaptive: a cell that reacts to contention it observes on itself,
+//     by promoting into the in-counter or (batched) by letting workers
+//     buffer deltas against it — not in the paper; see DESIGN.md §6.
 //
 // A Counter tracks the unsatisfied dependencies of one finish vertex.
 // A State is one dag vertex's capability to add a dependency
@@ -48,8 +52,8 @@ type State interface {
 // State again. Implementations whose states are shared between
 // vertices (e.g. the fetch-and-add baseline, which hands one state to
 // every vertex) must simply not implement the interface. The check is
-// per State object, not per algorithm: a two-phase counter (Adaptive)
-// legitimately mixes shared non-releasable cell states with pooled
+// per State object, not per algorithm: the Adaptive counter
+// legitimately mixes its shared non-releasable cell state with pooled
 // releasable in-counter states under one Counter.
 type Releaser interface {
 	// Release returns the state's storage to its implementation's
@@ -84,10 +88,9 @@ type Algorithm interface {
 // contention-adaptive counter promoting after K cell CAS failures
 // (default DefaultContention; K = 0 promotes eagerly at creation,
 // for sweeps that study the promoted regime itself), with an
-// optional batched frontend
-// flushing per-worker deltas every `batch` units (batch ≥ 2; omitted
-// or 1 disables batching); threshold is the grow denominator of the
-// in-counter it promotes into.
+// optional batched frontend flushing per-worker deltas every `batch`
+// units (batch ≥ 2; omitted or 1 disables batching); threshold is the
+// grow denominator of the in-counter the unbatched form promotes into.
 func Parse(name string, threshold uint64) (Algorithm, error) {
 	switch {
 	case name == "fetchadd":

@@ -256,6 +256,50 @@ func cancellableRegistry(started chan struct{}) *Registry {
 	return r
 }
 
+// TestAdmittedRunNeverReads404 is the regression test for the lookup
+// order of GET /v1/runs/{id}: an admitted id must resolve as pending
+// (202) or done (200) at every instant, including the one in which the
+// dispatcher publishes its record and untracks it. Each client submits
+// trivial async runs and polls the handler in a tight loop with no
+// sleep, so polls land inside that window; sink-first lookup answered
+// a handful of them 404 per thousand runs.
+func TestAdmittedRunNeverReads404(t *testing.T) {
+	const clients, runsEach = 4, 600
+	g := newTestGateway(t, Config{QueueDepth: 4 * clients})
+	h := g.Handler()
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			tenant := fmt.Sprintf("t%d", c)
+			for i := 0; i < runsEach; i++ {
+				id, err := g.SubmitAsync(tenant, "fib", 1, 0)
+				if err != nil {
+					errs <- fmt.Errorf("client %d run %d: admit: %w", c, i, err)
+					return
+				}
+				for polls := 0; ; polls++ {
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/runs/"+id, nil))
+					if w.Code == http.StatusOK {
+						break
+					}
+					if w.Code != http.StatusAccepted {
+						errs <- fmt.Errorf("client %d run %d: poll %d of admitted run %s = %d, want 202 or 200",
+							c, i, polls, id, w.Code)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}(c)
+	}
+	for c := 0; c < clients; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestAsyncCancel: DELETE on a running async run returns 202
 // canceling, the run settles with a canceled record, and a second
 // DELETE is an idempotent 200 returning that record.

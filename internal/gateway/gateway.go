@@ -561,9 +561,9 @@ func (g *Gateway) dispatch(id int) {
 		req.ten.hist.Record(id, wait+run)
 		g.histFor(req.tpl.Name).Record(id, wait+run)
 
-		// Publish before untracking: GET /v1/runs/{id} checks the sink
-		// first, so at every instant the id resolves to exactly one of
-		// pending (runs map) or done (sink) — never a transient 404.
+		// Publish before untracking: lookupRun checks the runs map first
+		// and the sink second, so an id it finds untracked is already
+		// published — never a transient 404.
 		rec := g.record(req, err, wait, run, info)
 		g.sink.Publish(rec)
 
@@ -724,8 +724,8 @@ func (g *Gateway) reapOnce(now time.Time) (reaped int) {
 	g.mu.Unlock()
 	// Publish the hung records outside the admission lock (the sink
 	// backend may do IO), then untrack. Publish-before-untrack keeps
-	// the GET taxonomy gapless: the id resolves as pending until the
-	// record is visible, done after.
+	// lookupRun gapless: the id resolves as pending until the record is
+	// visible, done after.
 	for _, h := range hung {
 		g.sink.Publish(&sink.RunRecord{
 			ID:       h.req.id,

@@ -231,27 +231,37 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// lookupRun resolves a run id to exactly one of tracked (req, a run
+// still pending), settled (rec, its record in the sink) or unknown
+// (both nil). The pending set is consulted FIRST: dispatchers publish
+// before they untrack, so an id that is no longer tracked is already
+// visible in the sink. Looking in the sink first would leave a gap — a
+// run that settles between the two looks has been published after the
+// first and untracked before the second, and reads as unknown.
+func (g *Gateway) lookupRun(id string) (req *request, rec *sink.RunRecord) {
+	g.mu.Lock()
+	req = g.runs[id]
+	g.mu.Unlock()
+	if req == nil {
+		rec, _ = g.sink.Lookup(id)
+	}
+	return req, rec
+}
+
 // handleGetRun is the async lifecycle's read side, the 404→202→200
-// taxonomy: a record in the sink is done (200, the RunRecord —
-// whatever its status: ok, failed, canceled, hung), a run the gateway
-// still tracks is pending (202), anything else is unknown (404
-// envelope). The sink is consulted first and dispatchers publish
-// before they untrack, so an id never transiently vanishes between
-// the two states.
+// taxonomy: a run the gateway still tracks is pending (202), a record
+// in the sink is done (200, the RunRecord — whatever its status: ok,
+// failed, canceled, hung), anything else is unknown (404 envelope).
 func (g *Gateway) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if rec, ok := g.sink.Lookup(id); ok {
-		writeJSON(w, http.StatusOK, rec)
-		return
-	}
-	g.mu.Lock()
-	_, pending := g.runs[id]
-	g.mu.Unlock()
-	if pending {
+	switch req, rec := g.lookupRun(id); {
+	case req != nil:
 		writeJSON(w, http.StatusAccepted, RunStatusResponse{RunID: id, Status: "pending"})
-		return
+	case rec != nil:
+		writeJSON(w, http.StatusOK, rec)
+	default:
+		g.writeError(w, fmt.Errorf("%w: %q", ErrUnknownRun, id))
 	}
-	g.writeError(w, fmt.Errorf("%w: %q", ErrUnknownRun, id))
 }
 
 // handleCancelRun aborts a tracked run through the RunContext
@@ -261,19 +271,15 @@ func (g *Gateway) handleGetRun(w http.ResponseWriter, r *http.Request) {
 // that returns its record (200) — DELETE is idempotent.
 func (g *Gateway) handleCancelRun(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	g.mu.Lock()
-	req, tracked := g.runs[id]
-	g.mu.Unlock()
-	if tracked {
+	switch req, rec := g.lookupRun(id); {
+	case req != nil:
 		req.cancel()
 		writeJSON(w, http.StatusAccepted, RunStatusResponse{RunID: id, Status: "canceling"})
-		return
-	}
-	if rec, ok := g.sink.Lookup(id); ok {
+	case rec != nil:
 		writeJSON(w, http.StatusOK, rec)
-		return
+	default:
+		g.writeError(w, fmt.Errorf("%w: %q", ErrUnknownRun, id))
 	}
-	g.writeError(w, fmt.Errorf("%w: %q", ErrUnknownRun, id))
 }
 
 func setRetryAfter(w http.ResponseWriter, d time.Duration) {

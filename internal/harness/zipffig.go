@@ -40,7 +40,7 @@ func sharedRMWsPerOp(ops, buffered, flushes uint64) float64 {
 
 // Zipf drives the batch-threshold sweep on the hot-key skew workload
 // (`ppopp17bench -fig zipf`; not a figure of the paper — the batched
-// counter frontend of DESIGN.md §13 is this repro's extension). One
+// counter frontend of DESIGN.md §6 is this repro's extension). One
 // table sweeps the batch threshold on the real runtime and reads the
 // coalescing ledger: shared RMWs per counter operation falling with
 // the batch factor while promotions/demotions show the adaptive

@@ -120,7 +120,39 @@ type Sink struct {
 type sinkShard struct {
 	mu  sync.Mutex
 	buf []*RunRecord
-	_   [40]byte // keep shards off one cache line under fan-in publish
+	// flight holds the batches taken out of buf whose backend write has
+	// not returned yet, so Lookup still finds their records: without it
+	// a record would be in neither the buffer nor the backend for the
+	// duration of the write.
+	flight [][]*RunRecord
+	_      [16]byte // keep shards off one cache line under fan-in publish
+}
+
+// take moves the shard's buffer into flight and returns it (nil when
+// the buffer is empty). The caller holds sh.mu, writes the batch to the
+// backend and then calls landed.
+func (sh *sinkShard) take() []*RunRecord {
+	batch := sh.buf
+	if len(batch) > 0 {
+		sh.buf = nil
+		sh.flight = append(sh.flight, batch)
+	}
+	return batch
+}
+
+// landed drops batch from flight once its backend write has returned.
+func (sh *sinkShard) landed(batch []*RunRecord) {
+	sh.mu.Lock()
+	for i, b := range sh.flight {
+		if &b[0] == &batch[0] {
+			last := len(sh.flight) - 1
+			sh.flight[i] = sh.flight[last]
+			sh.flight[last] = nil
+			sh.flight = sh.flight[:last]
+			break
+		}
+	}
+	sh.mu.Unlock()
 }
 
 // Option configures a Sink at construction.
@@ -206,35 +238,46 @@ func (s *Sink) Publish(rec *RunRecord) {
 	sh.buf = append(sh.buf, rec)
 	var batch []*RunRecord
 	if len(sh.buf) >= s.threshold {
-		batch = sh.buf
-		sh.buf = nil
+		batch = sh.take()
 	}
 	sh.mu.Unlock()
 	if batch != nil {
 		s.write(batch)
+		sh.landed(batch)
 	}
 }
 
-// Lookup finds a record by id: the unflushed buffers first (a record
-// is visible the moment Publish returns, flushed or not), then the
+// Lookup finds a record by id: the unflushed buffer and the batches in
+// flight to the backend first (a record is visible from the moment
+// Publish returns, without a gap while it is being flushed), then the
 // backend's Querier if it has one. Records already flushed to a
 // non-queryable backend (JSONL, HTTP) are not found here — query the
 // backend's own store instead.
 func (s *Sink) Lookup(id string) (*RunRecord, bool) {
 	sh := &s.shards[fnv1a(id)&uint32(len(s.shards)-1)]
 	sh.mu.Lock()
-	for i := len(sh.buf) - 1; i >= 0; i-- {
-		if sh.buf[i].ID == id {
-			rec := sh.buf[i]
-			sh.mu.Unlock()
-			return rec, true
-		}
+	rec := find(sh.buf, id)
+	for i := 0; rec == nil && i < len(sh.flight); i++ {
+		rec = find(sh.flight[i], id)
 	}
 	sh.mu.Unlock()
+	if rec != nil {
+		return rec, true
+	}
 	if s.querier != nil {
 		return s.querier.Lookup(id)
 	}
 	return nil, false
+}
+
+// find returns the newest record with the given id in batch, or nil.
+func find(batch []*RunRecord, id string) *RunRecord {
+	for i := len(batch) - 1; i >= 0; i-- {
+		if batch[i].ID == id {
+			return batch[i]
+		}
+	}
+	return nil
 }
 
 // Flush pushes every buffered record to the backend in one WriteBatch
@@ -242,19 +285,24 @@ func (s *Sink) Lookup(id string) (*RunRecord, bool) {
 // the write failed (the batch is counted dropped, not retried).
 func (s *Sink) Flush(ctx context.Context) error {
 	var batch []*RunRecord
+	taken := make([][]*RunRecord, len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if len(sh.buf) > 0 {
-			batch = append(batch, sh.buf...)
-			sh.buf = nil
-		}
+		taken[i] = sh.take()
 		sh.mu.Unlock()
+		batch = append(batch, taken[i]...)
 	}
 	if len(batch) == 0 {
 		return nil
 	}
-	return s.writeCtx(ctx, batch)
+	err := s.writeCtx(ctx, batch)
+	for i, b := range taken {
+		if b != nil {
+			s.shards[i].landed(b)
+		}
+	}
+	return err
 }
 
 // Stats snapshots the coalescing ledger.

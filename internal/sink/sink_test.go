@@ -112,6 +112,58 @@ func TestLookupUnflushed(t *testing.T) {
 	}
 }
 
+// gatedRing is a ring whose writes wait for the gate, holding a batch
+// in flight for as long as the test wants.
+type gatedRing struct {
+	*Ring
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (b *gatedRing) WriteBatch(ctx context.Context, recs []*RunRecord) error {
+	b.entered <- struct{}{}
+	<-b.gate
+	return b.Ring.WriteBatch(ctx, recs)
+}
+
+// TestLookupDuringFlush: a record stays visible while its batch is on
+// its way to the backend — out of the buffer, not yet in the ring — on
+// both the threshold path and the Flush path, and is found in the ring
+// afterwards with nothing left in flight.
+func TestLookupDuringFlush(t *testing.T) {
+	for _, path := range []string{"threshold", "flush"} {
+		be := &gatedRing{Ring: NewRing(8), entered: make(chan struct{}), gate: make(chan struct{})}
+		threshold := 1
+		if path == "flush" {
+			threshold = 100
+		}
+		s := New(be, WithThreshold(threshold), WithInterval(time.Hour))
+		done := make(chan struct{})
+		go func() {
+			s.Publish(rec("moving"))
+			if path == "flush" {
+				s.Flush(context.Background())
+			}
+			close(done)
+		}()
+		<-be.entered // the batch has left the buffer and the write is parked
+		if _, ok := s.Lookup("moving"); !ok {
+			t.Fatalf("%s: Lookup missed a record in flight to the backend", path)
+		}
+		close(be.gate)
+		<-done
+		if _, ok := s.Lookup("moving"); !ok {
+			t.Fatalf("%s: Lookup missed the record after it landed", path)
+		}
+		for i := range s.shards {
+			if n := len(s.shards[i].flight); n != 0 {
+				t.Fatalf("%s: shard %d still lists %d batches in flight", path, i, n)
+			}
+		}
+		s.Close() // nothing left to write: the gate is not crossed again
+	}
+}
+
 // TestDroppedAccounting: a refusing backend costs the batch, is
 // counted, and never blocks publishes.
 func TestDroppedAccounting(t *testing.T) {

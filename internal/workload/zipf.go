@@ -52,8 +52,8 @@ func zipfShares(n uint64, k int, skew float64) []uint64 {
 // of it.
 //
 // This is the batched counter frontend's motivating workload: with the
-// plain adaptive counter every operation on a hot key is one shared
-// RMW on that key's promoted in-counter root; with batching
+// plain adaptive counter every operation on a hot key is at least one
+// shared RMW on that key's counter; with batching
 // (adaptive:K:batch) workers coalesce their traffic per hot counter
 // into per-worker delta slots, cutting shared RMWs per operation by
 // roughly the batch factor. The skew is what separates it from Fanin

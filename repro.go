@@ -123,9 +123,10 @@ func WithAlgorithm(a CounterAlgorithm) Option {
 
 // WithCounter selects the dependency-counter algorithm by its
 // artifact-style spec string: "adaptive" (the default), "adaptive:K"
-// (promote after K observed collisions), "adaptive:K:batch" (also
-// batch post-promotion traffic in per-worker delta slots flushed every
-// `batch` units — the amortized frontend for fan-in storms), "dyn",
+// (promote after K observed collisions), "adaptive:K:batch" (after K
+// collisions, batch the counter's traffic in per-worker delta slots
+// flushed every `batch` units — the amortized frontend for fan-in
+// storms), "dyn",
 // "fetchadd", or "snzi-D". The spec is resolved at construction, after
 // every option
 // has applied, so the paper-default dynamic grow threshold
@@ -287,16 +288,17 @@ type Stats struct {
 	// when this stays above its admission window: the pool has proved
 	// it cannot grow out of the offered load.
 	PeggedFor time.Duration
-	// Promotions counts finish counters that migrated from the
-	// fetch-and-add cell to the in-counter under contention. It is 0
-	// for statically configured algorithms; under the default adaptive
-	// algorithm, Promotions == 0 after a run means every finish block
-	// settled on fetch-and-add, Promotions > 0 that contention pushed
-	// some onto the in-counter.
+	// Promotions counts finish counters that reacted to contention on
+	// their fetch-and-add cell: by migrating to the in-counter, or
+	// (counter spec "adaptive:K:batch") by switching to per-worker
+	// batching. It is 0 for statically configured algorithms; under the
+	// default adaptive algorithm, Promotions == 0 after a run means
+	// every finish block settled on fetch-and-add, Promotions > 0 that
+	// contention pushed some onto the in-counter.
 	Promotions uint64
-	// Demotions counts promoted counters that migrated back to the
-	// fetch-and-add cell after their contention burst passed. Always 0
-	// unless the adaptive algorithm's batched frontend is enabled
+	// Demotions counts promoted counters that went back to operating
+	// on the cell directly after their contention burst passed. Always
+	// 0 unless the adaptive algorithm's batched frontend is enabled
 	// (counter spec "adaptive:K:batch"), which is the only
 	// configuration with a demotion path.
 	Demotions uint64
