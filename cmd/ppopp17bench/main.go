@@ -60,6 +60,7 @@
 //	ppopp17bench -fig serve               # gateway offered-load sweep (throughput/shed/p99)
 //	ppopp17bench -fig sink                # run-record sink coalescing threshold sweep
 //	ppopp17bench -fig chaos               # self-defense recovery timeline (reap/degrade/recover)
+//	ppopp17bench -fig sim                 # deterministic scheduler replay at 1024 simulated workers
 //	ppopp17bench -fig stalls -quick       # contention in the stall model
 //	ppopp17bench -fig 8 -format artifact  # artifact-style result records
 //	ppopp17bench -fig 8 -out results/     # write per-figure files

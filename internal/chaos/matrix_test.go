@@ -2,9 +2,8 @@
 
 package chaos_test
 
-// The fault-matrix e2e suite: every fault kind crossed with both
-// stealing policies and both pool shapes, under an installed seeded
-// injector. Each scenario asserts the full robustness contract the
+// The fault-matrix e2e suite: every fault kind crossed with both pool
+// shapes, under an installed seeded injector. Each scenario asserts the full robustness contract the
 // ISSUE's acceptance criteria name:
 //
 //   - recovery: Run completes (or fails with exactly the injected
@@ -31,7 +30,6 @@ import (
 	"repro"
 	"repro/internal/chaos"
 	"repro/internal/gateway"
-	"repro/internal/sched"
 )
 
 // slowCtx is a deadline context cleaned up with the test.
@@ -63,18 +61,14 @@ func fanout(n int) repro.Task {
 
 type pool struct {
 	name string
-	cfg  func(p sched.Policy) repro.Config
+	cfg  repro.Config
 }
 
 func pools() []pool {
 	return []pool{
-		{"fixed", func(p sched.Policy) repro.Config {
-			return repro.Config{Workers: 4, Seed: 42, Policy: p, Watchdog: 25 * time.Millisecond}
-		}},
-		{"elastic", func(p sched.Policy) repro.Config {
-			return repro.Config{Workers: 2, MaxWorkers: 4, Seed: 42, Policy: p,
-				RetireAfter: 5 * time.Millisecond, Watchdog: 25 * time.Millisecond}
-		}},
+		{"fixed", repro.Config{Workers: 4, Seed: 42, Watchdog: 25 * time.Millisecond}},
+		{"elastic", repro.Config{Workers: 2, MaxWorkers: 4, Seed: 42,
+			RetireAfter: 5 * time.Millisecond, Watchdog: 25 * time.Millisecond}},
 	}
 }
 
@@ -96,7 +90,7 @@ func leakCheck(t *testing.T, label string, base int) {
 // applies the per-kind verdict, then proves the runtime is reusable
 // and leak-free. It returns the canonical trace for determinism
 // comparisons.
-func runScenario(t *testing.T, kind chaos.Kind, po pool, policy sched.Policy) []chaos.Event {
+func runScenario(t *testing.T, kind chaos.Kind, po pool) []chaos.Event {
 	t.Helper()
 	base := runtime.NumGoroutine()
 
@@ -106,7 +100,7 @@ func runScenario(t *testing.T, kind chaos.Kind, po pool, policy sched.Policy) []
 	chaos.Install(inj)
 	defer chaos.Uninstall()
 
-	rt := repro.New(po.cfg(policy))
+	rt := repro.New(po.cfg)
 	err := rt.Run(fanout(512))
 
 	switch kind {
@@ -144,16 +138,14 @@ func runScenario(t *testing.T, kind chaos.Kind, po pool, policy sched.Policy) []
 }
 
 // TestFaultMatrix is the matrix proper: each runtime-level fault kind
-// × both stealing policies × both pool shapes.
+// × both pool shapes.
 func TestFaultMatrix(t *testing.T) {
 	kinds := []chaos.Kind{chaos.PanicBody, chaos.StallWorker, chaos.DropWake, chaos.PromotionStorm}
 	for _, kind := range kinds {
-		for _, policy := range []sched.Policy{sched.ChaseLev, sched.PrivateDeques} {
-			for _, po := range pools() {
-				t.Run(fmt.Sprintf("%v/%v/%s", kind, policy, po.name), func(t *testing.T) {
-					runScenario(t, kind, po, policy)
-				})
-			}
+		for _, po := range pools() {
+			t.Run(fmt.Sprintf("%v/%s", kind, po.name), func(t *testing.T) {
+				runScenario(t, kind, po)
+			})
 		}
 	}
 }
@@ -166,16 +158,14 @@ func TestFaultMatrix(t *testing.T) {
 // the chaos unit tests).
 func TestFaultTraceDeterministic(t *testing.T) {
 	for _, kind := range []chaos.Kind{chaos.StallWorker, chaos.PromotionStorm} {
-		for _, policy := range []sched.Policy{sched.ChaseLev, sched.PrivateDeques} {
-			t.Run(fmt.Sprintf("%v/%v", kind, policy), func(t *testing.T) {
-				po := pools()[0]
-				a := runScenario(t, kind, po, policy)
-				b := runScenario(t, kind, po, policy)
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("same seed, different traces:\n%v\n%v", a, b)
-				}
-			})
-		}
+		t.Run(kind.String(), func(t *testing.T) {
+			po := pools()[0]
+			a := runScenario(t, kind, po)
+			b := runScenario(t, kind, po)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("same seed, different traces:\n%v\n%v", a, b)
+			}
+		})
 	}
 }
 

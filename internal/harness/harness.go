@@ -190,7 +190,6 @@ func (m Measurement) Block() *report.Block {
 		// worker floor, far beyond any host.
 		b := report.NewBlock().
 			In("bench", "sim").
-			In("policy", m.Spec.Algo).
 			In("proc", m.Spec.Procs).
 			In("n", m.Spec.N)
 		if m.Spec.MaxWorkers > m.Spec.Procs {

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -32,7 +31,6 @@ func Sim(o Options) (*Report, error) {
 		depth, big = 8, 64
 		elasticFloor, elasticRoots = 4, 32
 	}
-	policies := []sched.Policy{sched.ChaseLev, sched.PrivateDeques}
 
 	// Batched arrivals: all roots land at tick 0, so fixed-pool runs
 	// see the full fan-out at once and elastic runs see a sustained
@@ -52,11 +50,11 @@ func Sim(o Options) (*Report, error) {
 			return res, err
 		}
 		if res.Truncated {
-			return res, fmt.Errorf("sim: %s w=%d nodes=%d truncated at %d ticks",
-				cfg.Policy, cfg.Workers, nodes, res.Ticks)
+			return res, fmt.Errorf("sim: w=%d nodes=%d truncated at %d ticks",
+				cfg.Workers, nodes, res.Ticks)
 		}
 		rep.Measurements = append(rep.Measurements, Measurement{
-			Spec: Spec{Bench: "sim", Algo: cfg.Policy.String(), Procs: cfg.Workers,
+			Spec: Spec{Bench: "sim", Procs: cfg.Workers,
 				MaxWorkers: cfg.MaxWorkers, Nodes: nodes,
 				N: uint64(len(cfg.Arrivals)), Seed: cfg.Seed},
 			Vertices:      int64(res.Executed),
@@ -79,28 +77,24 @@ func Sim(o Options) (*Report, error) {
 	// where same-window finish-counter collisions push the adaptive
 	// model off the fetch-and-add cell (one worker can never collide,
 	// so its cell is exactly 0).
-	promTbl := stats.NewTable(
-		fmt.Sprintf("sim fan-out (%d roots × depth %d, flat): adaptive promotions by simulated workers", roots, depth),
-		append([]string{"policy"}, wStrings(workersAxis)...)...)
-	tickTbl := stats.NewTable("virtual ticks to quiesce (same runs)",
-		append([]string{"policy"}, wStrings(workersAxis)...)...)
-	for _, pol := range policies {
-		row := []interface{}{pol.String()}
-		trow := []interface{}{pol.String()}
-		for _, w := range workersAxis {
-			o.progress("sim promotions %s w=%d", pol, w)
-			res, err := record(sim.Config{Workers: w, Policy: pol, Seed: seed,
-				Topo: topology.Flat(w), Arrivals: burst(roots, depth)}, 1)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%d", res.Promotions))
-			trow = append(trow, fmt.Sprintf("%d", res.Ticks))
+	fanTbl := stats.NewTable(
+		fmt.Sprintf("sim fan-out (%d roots × depth %d, flat) by simulated workers", roots, depth),
+		append([]string{"metric"}, wStrings(workersAxis)...)...)
+	prow := []interface{}{"promotions"}
+	trow := []interface{}{"ticks to quiesce"}
+	for _, w := range workersAxis {
+		o.progress("sim promotions w=%d", w)
+		res, err := record(sim.Config{Workers: w, Seed: seed,
+			Topo: topology.Flat(w), Arrivals: burst(roots, depth)}, 1)
+		if err != nil {
+			return nil, err
 		}
-		promTbl.AddRow(row...)
-		tickTbl.AddRow(trow...)
+		prow = append(prow, fmt.Sprintf("%d", res.Promotions))
+		trow = append(trow, fmt.Sprintf("%d", res.Ticks))
 	}
-	rep.Tables = append(rep.Tables, promTbl, tickTbl)
+	fanTbl.AddRow(prow...)
+	fanTbl.AddRow(trow...)
+	rep.Tables = append(rep.Tables, fanTbl)
 
 	// Table 2 — steal locality at full simulated scale: the two-phase
 	// victim order under flat vs synthetic multi-node topologies, the
@@ -108,23 +102,21 @@ func Sim(o Options) (*Report, error) {
 	nodeAxis := []int{1, 2, 8}
 	locTbl := stats.NewTable(
 		fmt.Sprintf("sim steal locality at %d simulated workers (%d roots × depth %d)", big, roots, depth),
-		"policy/topology", "local", "remote", "local share")
-	for _, pol := range policies {
-		for _, nodes := range nodeAxis {
-			o.progress("sim locality %s nodes=%d", pol, nodes)
-			topo := topology.Flat(big)
-			if nodes > 1 {
-				topo = topology.Synthetic(nodes, big/nodes)
-			}
-			res, err := record(sim.Config{Workers: big, Policy: pol, Seed: seed,
-				Topo: topo, Arrivals: burst(roots, depth)}, nodes)
-			if err != nil {
-				return nil, err
-			}
-			locTbl.AddRow(fmt.Sprintf("%s/%s", pol, topoName(nodes)),
-				fmt.Sprintf("%d", res.LocalSteals), fmt.Sprintf("%d", res.RemoteSteals),
-				localShare(res.LocalSteals, res.RemoteSteals))
+		"topology", "local", "remote", "local share")
+	for _, nodes := range nodeAxis {
+		o.progress("sim locality nodes=%d", nodes)
+		topo := topology.Flat(big)
+		if nodes > 1 {
+			topo = topology.Synthetic(nodes, big/nodes)
 		}
+		res, err := record(sim.Config{Workers: big, Seed: seed,
+			Topo: topo, Arrivals: burst(roots, depth)}, nodes)
+		if err != nil {
+			return nil, err
+		}
+		locTbl.AddRow(topoName(nodes),
+			fmt.Sprintf("%d", res.LocalSteals), fmt.Sprintf("%d", res.RemoteSteals),
+			localShare(res.LocalSteals, res.RemoteSteals))
 	}
 	rep.Tables = append(rep.Tables, locTbl)
 
@@ -134,24 +126,22 @@ func Sim(o Options) (*Report, error) {
 	// asserts; here it is a table cell).
 	elaTbl := stats.NewTable(
 		fmt.Sprintf("sim elastic pool %d→%d (%d roots × depth %d)", elasticFloor, big, elasticRoots, elasticDepth),
-		"policy", "spawned", "retired", "peak", "steady", "pegged ticks")
-	for _, pol := range policies {
-		o.progress("sim elastic %s", pol)
-		res, err := record(sim.Config{Workers: elasticFloor, MaxWorkers: big, Policy: pol,
-			Seed: seed, Topo: topology.Flat(big), RetireAfterTicks: 16,
-			Arrivals: burst(elasticRoots, elasticDepth)}, 1)
-		if err != nil {
-			return nil, err
-		}
-		if res.Spawned != res.Retired {
-			return nil, fmt.Errorf("sim elastic %s: spawned %d != retired %d after quiesce",
-				pol, res.Spawned, res.Retired)
-		}
-		elaTbl.AddRow(pol.String(),
-			fmt.Sprintf("%d", res.Spawned), fmt.Sprintf("%d", res.Retired),
-			fmt.Sprintf("%d", res.PeakLive), fmt.Sprintf("%d", res.SteadyLive),
-			fmt.Sprintf("%d", res.PeggedTicks))
+		"spawned", "retired", "peak", "steady", "pegged ticks")
+	o.progress("sim elastic")
+	res, err := record(sim.Config{Workers: elasticFloor, MaxWorkers: big,
+		Seed: seed, Topo: topology.Flat(big), RetireAfterTicks: 16,
+		Arrivals: burst(elasticRoots, elasticDepth)}, 1)
+	if err != nil {
+		return nil, err
 	}
+	if res.Spawned != res.Retired {
+		return nil, fmt.Errorf("sim elastic: spawned %d != retired %d after quiesce",
+			res.Spawned, res.Retired)
+	}
+	elaTbl.AddRow(
+		fmt.Sprintf("%d", res.Spawned), fmt.Sprintf("%d", res.Retired),
+		fmt.Sprintf("%d", res.PeakLive), fmt.Sprintf("%d", res.SteadyLive),
+		fmt.Sprintf("%d", res.PeggedTicks))
 	rep.Tables = append(rep.Tables, elaTbl)
 
 	rep.Notes = append(rep.Notes,

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -124,7 +123,7 @@ func Zipf(o Options) (*Report, error) {
 		"batch", "max colliders/tick", "modeled misses", "counter RMWs", "buffered units")
 	for _, b := range []uint64{1, 8, 64} {
 		o.progress("zipf sim batch=%d", b)
-		res, err := sim.Run(sim.Config{Workers: simWorkers, Policy: sched.ChaseLev,
+		res, err := sim.Run(sim.Config{Workers: simWorkers,
 			Seed: 1, Topo: topology.Flat(simWorkers), Arrivals: arrivals,
 			PromoteContention: 1, Batch: b})
 		if err != nil {

@@ -124,9 +124,6 @@ type Config struct {
 	Seed uint64
 	// Recorder optionally observes dag construction (validation runs).
 	Recorder spdag.Recorder
-	// Policy selects the stealing mechanism (default: concurrent
-	// Chase-Lev deques; the paper's own runtime uses PrivateDeques).
-	Policy sched.Policy
 	// Topology maps worker slots to locality nodes: the steal loop
 	// prefers same-node victims, vertex storage pools per node, and
 	// elastic spawns pick the least-loaded node. The zero value
@@ -186,7 +183,7 @@ func New(cfg Config) *Runtime {
 	if alg == nil {
 		alg = counter.NewAdaptive(0, DefaultThreshold(maxWorkers))
 	}
-	sopts := []sched.Option{sched.WithPolicy(cfg.Policy), sched.WithMaxWorkers(maxWorkers)}
+	sopts := []sched.Option{sched.WithMaxWorkers(maxWorkers)}
 	if !cfg.Topology.IsZero() {
 		sopts = append(sopts, sched.WithTopology(cfg.Topology))
 	}

@@ -1,11 +1,11 @@
-// Package sched implements the work-stealing scheduler substrate the
-// paper's runtime builds on (its reference [2], Acar–Charguéraud–
-// Rainey PPoPP'13): a pool of workers, each with a deque of ready
-// sp-dag vertices, executing locally in LIFO order and stealing from
-// random victims in FIFO order when idle. Two stealing policies are
-// provided — concurrent Chase–Lev deques and the paper's private
-// deques with receiver-initiated communication (private.go). Victim
-// selection is topology-aware in both: under a multi-node locality
+// Package sched implements the work-stealing scheduler the runtime
+// runs on: a pool of workers, each with a concurrent Chase–Lev deque
+// of ready sp-dag vertices, executing locally in LIFO order and
+// stealing from random victims in FIFO order when idle. (The paper's
+// own runtime used the private deques of its reference [2], Acar–
+// Charguéraud–Rainey PPoPP'13; the finish counter under study does not
+// depend on the stealing protocol.) Victim selection is
+// topology-aware: under a multi-node locality
 // map (WithTopology, internal/topology) thieves make a randomized
 // round over same-node victims before falling back to remote nodes,
 // vertex storage pools per node, and elastic spawns land on the
@@ -71,11 +71,7 @@
 // park invariant, asserted), its ring is released, the vertex freelist
 // drains into the slot's node pool (spdag.ExecContext.DrainFree), and the
 // stats block stays with the slot so Stats() remains exact across
-// retire/respawn cycles. Under PrivateDeques the dormant state behaves
-// exactly like the parked state for thieves: they do not post requests
-// to dormant victims and withdraw in-flight requests from victims that
-// retire mid-request, through the same commit-or-withdraw CAS
-// (private.go).
+// retire/respawn cycles.
 //
 // The full lost-wakeup argument for the park/wake/retire protocol is
 // in DESIGN.md §7.

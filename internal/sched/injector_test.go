@@ -108,47 +108,45 @@ func TestInjectorConcurrent(t *testing.T) {
 // still be executed.
 func TestSubmitStress(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, policy := range []Policy{ChaseLev, PrivateDeques} {
-		t.Run(policy.String(), func(t *testing.T) {
-			s := New(3, WithSeed(11), WithPolicy(policy))
-			d := spdag.New(counter.FetchAdd{}, spdag.WithScheduler(s.Submit))
-			s.Start()
-			defer s.Shutdown()
+	t.Run("chase-lev", func(t *testing.T) {
+		s := New(3, WithSeed(11))
+		d := spdag.New(counter.FetchAdd{}, spdag.WithScheduler(s.Submit))
+		s.Start()
+		defer s.Shutdown()
 
-			const producers = 6
-			const perProducer = 3000
-			var executed atomic.Int64
-			body := func(*spdag.Vertex) { executed.Add(1) }
-			var wg sync.WaitGroup
-			for p := 0; p < producers; p++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for k := 0; k < perProducer; k++ {
-						v := d.NewVertex(nil, nil, 0)
-						v.SetBody(body)
-						if !v.TrySchedule() {
-							t.Error("fresh ready vertex failed to schedule")
-							return
-						}
-						if k%512 == 0 {
-							// Give workers a chance to drain and park, so
-							// Submits keep racing the parking protocol.
-							time.Sleep(time.Millisecond)
-						}
+		const producers = 6
+		const perProducer = 3000
+		var executed atomic.Int64
+		body := func(*spdag.Vertex) { executed.Add(1) }
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < perProducer; k++ {
+					v := d.NewVertex(nil, nil, 0)
+					v.SetBody(body)
+					if !v.TrySchedule() {
+						t.Error("fresh ready vertex failed to schedule")
+						return
 					}
-				}()
-			}
-			wg.Wait()
-
-			deadline := time.Now().Add(20 * time.Second)
-			want := int64(producers * perProducer)
-			for executed.Load() < want {
-				if time.Now().After(deadline) {
-					t.Fatalf("executed %d of %d submitted vertices (lost work)", executed.Load(), want)
+					if k%512 == 0 {
+						// Give workers a chance to drain and park, so
+						// Submits keep racing the parking protocol.
+						time.Sleep(time.Millisecond)
+					}
 				}
-				time.Sleep(time.Millisecond)
+			}()
+		}
+		wg.Wait()
+
+		deadline := time.Now().Add(20 * time.Second)
+		want := int64(producers * perProducer)
+		for executed.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("executed %d of %d submitted vertices (lost work)", executed.Load(), want)
 			}
-		})
-	}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }

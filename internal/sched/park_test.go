@@ -39,38 +39,36 @@ func waitParked(t *testing.T, s *Scheduler, within time.Duration) {
 // CPU" acceptance criterion in testable form.
 func TestIdleWorkersPark(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for _, policy := range []Policy{ChaseLev, PrivateDeques} {
-		t.Run(policy.String(), func(t *testing.T) {
-			s := New(4, WithSeed(3), WithPolicy(policy))
-			d := spdag.New(counter.FetchAdd{}, spdag.WithScheduler(s.Submit))
-			s.Start()
-			defer s.Shutdown()
+	t.Run("chase-lev", func(t *testing.T) {
+		s := New(4, WithSeed(3))
+		d := spdag.New(counter.FetchAdd{}, spdag.WithScheduler(s.Submit))
+		s.Start()
+		defer s.Shutdown()
 
-			// Freshly started, no work: everyone parks.
-			waitParked(t, s, 5*time.Second)
+		// Freshly started, no work: everyone parks.
+		waitParked(t, s, 5*time.Second)
 
-			// Submissions into a fully parked scheduler still execute
-			// (the wake path), and the scheduler re-parks afterwards.
-			for round := 0; round < 3; round++ {
-				var executed atomic.Int64
-				body := func(*spdag.Vertex) { executed.Add(1) }
-				const n = 100
-				for i := 0; i < n; i++ {
-					v := d.NewVertex(nil, nil, 0)
-					v.SetBody(body)
-					v.TrySchedule()
-				}
-				deadline := time.Now().Add(10 * time.Second)
-				for executed.Load() < n {
-					if time.Now().After(deadline) {
-						t.Fatalf("round %d: executed %d of %d after wake-up", round, executed.Load(), n)
-					}
-					time.Sleep(time.Millisecond)
-				}
-				waitParked(t, s, 5*time.Second)
+		// Submissions into a fully parked scheduler still execute
+		// (the wake path), and the scheduler re-parks afterwards.
+		for round := 0; round < 3; round++ {
+			var executed atomic.Int64
+			body := func(*spdag.Vertex) { executed.Add(1) }
+			const n = 100
+			for i := 0; i < n; i++ {
+				v := d.NewVertex(nil, nil, 0)
+				v.SetBody(body)
+				v.TrySchedule()
 			}
-		})
-	}
+			deadline := time.Now().Add(10 * time.Second)
+			for executed.Load() < n {
+				if time.Now().After(deadline) {
+					t.Fatalf("round %d: executed %d of %d after wake-up", round, executed.Load(), n)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			waitParked(t, s, 5*time.Second)
+		}
+	})
 }
 
 // TestParkedWorkersBurnNoCPU measures actual CPU consumption of a
@@ -169,19 +167,17 @@ func TestElasticIdleQuiesceBurnsNoCPU(t *testing.T) {
 // TestShutdownWakesParkedWorkers: Shutdown must not hang on parked
 // workers.
 func TestShutdownWakesParkedWorkers(t *testing.T) {
-	for _, policy := range []Policy{ChaseLev, PrivateDeques} {
-		s := New(4, WithSeed(9), WithPolicy(policy))
-		s.Start()
-		waitParked(t, s, 5*time.Second)
-		done := make(chan struct{})
-		go func() {
-			s.Shutdown()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s: Shutdown hung on parked workers", policy)
-		}
+	s := New(4, WithSeed(9))
+	s.Start()
+	waitParked(t, s, 5*time.Second)
+	done := make(chan struct{})
+	go func() {
+		s.Shutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown hung on parked workers")
 	}
 }

@@ -20,14 +20,13 @@ import (
 // lifecycle.
 type Scheduler struct {
 	workers []*worker // all slots, len == max; never mutated after New
-	policy  Policy
 	min     int
 	stop    atomic.Bool
 	wg      sync.WaitGroup
 	started atomic.Bool
 
 	// topo maps worker slots to locality nodes; it drives the
-	// two-phase victim preference in both steal policies, the per-node
+	// two-phase victim preference of the steal loop, the per-node
 	// vertex pools, and least-loaded-node spawn placement. Always
 	// non-zero after New (an unspecified topology resolves to
 	// topology.Detect, which degrades to flat). Correctness never
@@ -95,34 +94,13 @@ type Scheduler struct {
 	inj injector
 }
 
-// Policy selects the stealing mechanism.
-type Policy int
-
-const (
-	// ChaseLev uses per-worker concurrent Chase-Lev deques: thieves
-	// steal directly with a CAS (the classic design, e.g. Cilk).
-	ChaseLev Policy = iota
-	// PrivateDeques uses unsynchronized per-worker deques with
-	// receiver-initiated steal requests (Acar-Charguéraud-Rainey,
-	// PPoPP'13 — the scheduler the paper's implementation uses).
-	PrivateDeques
-)
-
-func (p Policy) String() string {
-	if p == PrivateDeques {
-		return "private-deques"
-	}
-	return "chase-lev"
-}
-
 // Worker slot states (worker.state). A slot is dormant when no
 // goroutine runs its loop — either it has not been spawned yet or its
 // worker retired; its storage (deque ring, freelist) has been released
 // and only the identity fields remain. retiring is the drain window in
-// between: thieves already treat the slot as unable to answer, but a
-// spawner must not claim it until the departing goroutine has finished
-// handing its storage back — the dormant store is what publishes the
-// drained state to the claiming CAS.
+// between: a spawner must not claim the slot until the departing
+// goroutine has finished handing its storage back — the dormant store
+// is what publishes the drained state to the claiming CAS.
 const (
 	wsDormant int32 = iota
 	wsRetiring
@@ -158,8 +136,7 @@ type workerStats struct {
 type worker struct {
 	s   *Scheduler
 	id  int
-	dq  deque.Deque[spdag.Vertex] // ChaseLev policy
-	pd  privateState              // PrivateDeques policy
+	dq  deque.Deque[spdag.Vertex]
 	g   *rng.Xoshiro256ss
 	ctx spdag.ExecContext
 
@@ -174,9 +151,7 @@ type worker struct {
 	remoteVictims []*worker
 
 	// state is the slot lifecycle flag (wsDormant/wsLive). Spawners CAS
-	// dormant→live; the retiring worker itself stores dormant. Thieves
-	// under PrivateDeques read it to avoid posting requests to victims
-	// that cannot answer.
+	// dormant→live; the retiring worker itself stores dormant.
 	state atomic.Int32
 
 	// Parking state: parked is the claim flag (a waker CASes it
@@ -231,7 +206,6 @@ type Option func(*config)
 
 type config struct {
 	seed        uint64
-	policy      Policy
 	max         int
 	retireAfter time.Duration
 	topo        topology.Topology
@@ -242,11 +216,6 @@ type config struct {
 // WithSeed fixes the per-worker RNG seeds for reproducible runs.
 func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
-}
-
-// WithPolicy selects the stealing mechanism (default ChaseLev).
-func WithPolicy(p Policy) Option {
-	return func(c *config) { c.policy = p }
 }
 
 // WithMaxWorkers makes the pool elastic: it may grow from New's worker
@@ -266,7 +235,7 @@ func WithRetireAfter(d time.Duration) Option {
 }
 
 // WithTopology sets the locality map from worker slots to nodes: the
-// steal loops prefer same-node victims (falling back to remote nodes
+// steal loop prefers same-node victims (falling back to remote nodes
 // only when the local round comes up empty), vertex storage overflows
 // into per-node pools, and the elastic pool spawns onto the
 // least-loaded node. The zero Topology (the default) auto-detects the
@@ -325,7 +294,6 @@ func New(p int, opts ...Option) *Scheduler {
 	}
 	s := &Scheduler{
 		workers:     make([]*worker, cfg.max),
-		policy:      cfg.policy,
 		min:         p,
 		elastic:     cfg.max > p,
 		retireAfter: cfg.retireAfter,
@@ -343,12 +311,7 @@ func New(p int, opts ...Option) *Scheduler {
 	for i := range s.workers {
 		w := &worker{s: s, id: i, node: s.topo.NodeOf(i),
 			g: rng.NewXoshiro(cfg.seed + uint64(i)*0x9e37), sema: make(chan struct{}, 1)}
-		w.pd.request.Store(noThief)
-		push := w.push
-		if cfg.policy == PrivateDeques {
-			push = w.pushPrivate
-		}
-		w.ctx = spdag.ExecContext{G: w.g, Push: push, Pool: s.pools, Node: w.node,
+		w.ctx = spdag.ExecContext{G: w.g, Push: w.push, Pool: s.pools, Node: w.node,
 			Home: counter.NewHome()}
 		if i < p {
 			w.state.Store(wsLive)
@@ -373,9 +336,6 @@ func New(p int, opts ...Option) *Scheduler {
 	}
 	return s
 }
-
-// Policy returns the stealing mechanism in use.
-func (s *Scheduler) Policy() Policy { return s.policy }
 
 // Topology returns the locality map the scheduler was built with
 // (after auto-detection: never the zero value).
@@ -441,20 +401,11 @@ func (s *Scheduler) Start() {
 			continue
 		}
 		s.wg.Add(1)
-		go w.loop()
+		go w.run()
 	}
 	if s.wdStop != nil {
 		s.wg.Add(1)
 		go s.watchdog()
-	}
-}
-
-// loop dispatches to the policy's worker loop.
-func (w *worker) loop() {
-	if w.s.policy == PrivateDeques {
-		w.runPrivate()
-	} else {
-		w.run()
 	}
 }
 
@@ -608,7 +559,7 @@ func (s *Scheduler) trySpawn() {
 		if best := s.workers[i]; best.state.CompareAndSwap(wsDormant, wsLive) {
 			s.spawned.Add(1)
 			s.wg.Add(1)
-			go best.loop()
+			go best.run()
 			return
 		}
 		// Unreachable in practice — dormant→live transitions are
@@ -685,8 +636,10 @@ type Stats struct {
 	Steals       uint64 // successful steals (local + remote)
 	LocalSteals  uint64 // steals from same-node victims
 	RemoteSteals uint64 // steals from remote-node victims
-	Executed     uint64 // vertices executed
-	Stalls       uint64 // watchdog stall detections (0 with the watchdog off)
+	// Executed counts vertices executed. Each is counted before its
+	// body runs, so every vertex of a Run that has returned is in it.
+	Executed uint64
+	Stalls   uint64 // watchdog stall detections, each counted after its OnStall hook (0 with the watchdog off)
 
 	// The batched counter frontend's coalescing ledger, summed over the
 	// workers' Homes — the counter analogue of the sink's
@@ -721,17 +674,16 @@ func (s *Scheduler) String() string {
 		nodes = fmt.Sprintf(", nodes=%d", s.topo.Nodes())
 	}
 	if s.elastic {
-		return fmt.Sprintf("sched.Scheduler{workers=%d..%d, live=%d, policy=%s%s}",
-			s.min, len(s.workers), s.NumWorkers(), s.policy, nodes)
+		return fmt.Sprintf("sched.Scheduler{workers=%d..%d, live=%d%s}",
+			s.min, len(s.workers), s.NumWorkers(), nodes)
 	}
-	return fmt.Sprintf("sched.Scheduler{workers=%d, policy=%s%s}", s.min, s.policy, nodes)
+	return fmt.Sprintf("sched.Scheduler{workers=%d%s}", s.min, nodes)
 }
 
-// push is the worker-local schedule operation for the ChaseLev policy.
-// The nparked read inside signalWork is the only cost it pays for the
-// parking protocol on a fixed pool: in a busy scheduler the counter is
-// zero and read-shared, so the common case adds one uncontended load
-// to the push path. An elastic pool additionally reads the injector
+// push is the worker-local schedule operation. The nparked read inside
+// signalWork is the only cost it pays for the parking protocol on a
+// fixed pool: in a busy scheduler the counter is zero and read-shared,
+// so the common case adds one uncontended load to the push path. An elastic pool additionally reads the injector
 // size when nobody is parked, feeding the spawn signal.
 func (w *worker) push(v *spdag.Vertex) {
 	w.dq.PushBottom(v)
@@ -762,10 +714,7 @@ func (w *worker) run() {
 			// Out of local and stealable work: flush pending counter
 			// deltas before backing off. A flush that readies vertices
 			// pushed them onto our own deque, so rescan instead of
-			// idling — parking on top of a productive flush would
-			// strand that work (no thief reaches a parked owner's
-			// deque under private deques, and the park heuristics
-			// assume empty deques under ChaseLev).
+			// idling — the park heuristics assume an empty deque.
 			if w.ctx.FlushCounters() > 0 {
 				idleRounds = 0
 				sinceFlush = 0
@@ -783,10 +732,13 @@ func (w *worker) run() {
 		}
 		idleRounds = 0
 		w.chaosExec() // fault seam: no-op unless built with -tags chaostest
+		// Count before Execute: the final vertex's body releases Run's
+		// waiter, so a count taken after it would lag Run's return. A
+		// long body is still progress to the watchdog via markExec.
+		w.stats.executed.Add(1)
 		w.markExec()
 		v.Execute(&w.ctx)
 		w.doneExec()
-		w.stats.executed.Add(1)
 		// Staleness cap: a worker that never runs dry must still
 		// publish its buffered counter deltas eventually, or a hot
 		// server-style worker could delay another computation's zero
@@ -805,9 +757,9 @@ func (w *worker) run() {
 // guarantees any reachable work is still found, so completion is
 // unchanged from the single-phase loop; what changes is that a steal
 // crossing the interconnect happens only when the whole local node is
-// dry. Dormant victims are harmless under ChaseLev — their deques are
-// empty by the retire invariant — so the victim rounds do not filter
-// them; they just waste the occasional attempt on an empty slot.
+// dry. Dormant victims are harmless — their deques are empty by the
+// retire invariant — so the victim rounds do not filter them; they
+// just waste the occasional attempt on an empty slot.
 func (w *worker) findWork() *spdag.Vertex {
 	if v := w.s.inj.pop(); v != nil {
 		return v
@@ -880,11 +832,6 @@ func (w *worker) backoff(rounds int) (woken, retired bool) {
 // sees the enqueued work (and cancels the park) — there is no
 // interleaving in which work is enqueued, no wake is sent, and the
 // recheck sees nothing.
-//
-// Under PrivateDeques the recheck cannot inspect other workers' queues
-// (they are unsynchronized by design); completion is still guaranteed
-// because a queue's owner is, by construction, awake and drains it
-// itself, waking us on every subsequent push.
 func (w *worker) park() (woken, retired bool) {
 	s := w.s
 	s.nparked.Add(1)
@@ -963,19 +910,16 @@ func (w *worker) parkTimed() (woken, retired bool) {
 }
 
 // retire decommissions the worker in two published steps. First the
-// slot is marked retiring: from here on thieves treat it like a parked
-// victim (they post no new requests and withdraw in-flight ones), and
-// any thief caught mid-request is released through the normal
-// commit-or-withdraw protocol. Then the storage the worker accumulated
-// is handed back — the deque ring (empty by the park invariant,
-// asserted) and the vertex freelist (drained into the slot's node
-// pool, so the storage stays home for the next worker spawned on that
-// node) — and only then does the slot go dormant, making it claimable by
-// trySpawn: the dormant store is the release point that makes the
-// drain visible to the claiming CAS, so a respawned goroutine can
-// never observe the drain half-done. The stats block stays with the
-// slot so Stats() remains exact. The caller exits the worker loop
-// immediately after.
+// slot is marked retiring, so no spawner can claim it mid-drain. Then
+// the storage the worker accumulated is handed back — the deque ring
+// (empty by the park invariant, asserted) and the vertex freelist
+// (drained into the slot's node pool, so the storage stays home for
+// the next worker spawned on that node) — and only then does the slot
+// go dormant, making it claimable by trySpawn: the dormant store is
+// the release point that makes the drain visible to the claiming CAS,
+// so a respawned goroutine can never observe the drain half-done. The
+// stats block stays with the slot so Stats() remains exact. The caller
+// exits the worker loop immediately after.
 func (w *worker) retire() {
 	// Retire is only reached out of a park, and the idle path flushed
 	// the worker's counter deltas before the first backoff — nothing
@@ -984,21 +928,10 @@ func (w *worker) retire() {
 	// readied here would land in a deque the panics below would catch.
 	w.ctx.FlushCounters()
 	w.state.Store(wsRetiring)
-	if w.s.policy == PrivateDeques {
-		// Release a thief that posted before the state store landed; a
-		// thief that posts after will observe the state and withdraw,
-		// exactly as it does for a parked victim.
-		w.respond()
-		if len(w.pd.queue) != 0 {
-			panic("sched: retiring worker holds queued vertices (park invariant violated)")
-		}
-		w.pd.queue = nil
-	} else {
-		if w.dq.Size() != 0 {
-			panic("sched: retiring worker holds queued vertices (park invariant violated)")
-		}
-		w.dq.ReleaseStorage()
+	if w.dq.Size() != 0 {
+		panic("sched: retiring worker holds queued vertices (park invariant violated)")
 	}
+	w.dq.ReleaseStorage()
 	w.ctx.DrainFree()
 	w.s.retired.Add(1)
 	w.state.Store(wsDormant)
@@ -1011,14 +944,6 @@ func (w *worker) parkRecheck() bool {
 	s := w.s
 	if s.inj.size.Load() > 0 {
 		return true
-	}
-	if s.policy == PrivateDeques {
-		// The commit/withdraw protocol (private.go) means no answer can
-		// be in flight once findWorkPrivate has returned nil, so this
-		// check is defensive: it keeps "a vertex is never stranded in a
-		// sleeping worker's cell" locally true even if the protocol's
-		// invariant is ever weakened.
-		return w.pd.transfer.Load() != nil
 	}
 	for _, victim := range s.workers {
 		if victim != w && victim.dq.Size() > 0 {

@@ -102,6 +102,10 @@ func requireParallelism(t *testing.T) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
+// Tests that once ran once per stealing protocol run their body as a
+// "chase-lev" subtest: Chase–Lev is the scheduler's one protocol, and
+// the subtest keeps the name its results are tracked under.
+
 func TestStealsHappen(t *testing.T) {
 	requireParallelism(t)
 	s := New(4, WithSeed(3))
@@ -195,6 +199,27 @@ func TestStructuralValidityUnderScheduler(t *testing.T) {
 	vertices, _ := rec.Counts()
 	if int64(vertices) != d.VertexCount() {
 		t.Fatalf("recorder saw %d vertices, dag counted %d", vertices, d.VertexCount())
+	}
+}
+
+// TestExecutedExactAtRunReturn: every vertex is counted before its
+// body runs, and the final vertex's body is what releases Run, so the
+// executed total is exact the moment Run returns — no sleep, no poll.
+// A depth-d tree is 2^(d+1) vertices (2^(d+1)−1 tree vertices plus the
+// final).
+func TestExecutedExactAtRunReturn(t *testing.T) {
+	requireParallelism(t)
+	s := New(2, WithSeed(19))
+	s.Start()
+	defer s.Shutdown()
+	d := spdag.New(counter.FetchAdd{}, spdag.WithScheduler(s.Submit))
+	const depth = 3
+	for i := uint64(1); i <= 2000; i++ {
+		var leaves atomic.Int64
+		s.Run(d, func(u *spdag.Vertex) { spawnTree(u, depth, &leaves) })
+		if got, want := s.Stats().Executed, i*(2<<depth); got != want {
+			t.Fatalf("run %d: Executed = %d right after Run returned, want %d", i, got, want)
+		}
 	}
 }
 

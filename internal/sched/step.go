@@ -36,8 +36,8 @@ const (
 
 // IdleStep returns the backoff escalation for the given count of
 // consecutive idle find-work rounds: spin briefly, then yield, then
-// park. The thresholds are the spin→yield→park ladder both worker
-// loops (run, runPrivate) climb.
+// park. The thresholds are the spin→yield→park ladder the worker loop
+// (run) climbs.
 func IdleStep(rounds int) IdleAction {
 	switch {
 	case rounds < spinRounds:

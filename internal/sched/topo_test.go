@@ -1,7 +1,7 @@
 package sched
 
 // Tests for the topology layer under the steal loop: the two-phase
-// (local-then-remote) victim order in both stealing policies, the
+// (local-then-remote) victim order, the
 // least-loaded-node spawn placement of the elastic pool, and the
 // per-node freelists across park/retire churn. Everything runs on a
 // synthetic topology, so these tests exercise the multi-node code
@@ -96,115 +96,71 @@ func TestChaseLevStealOrderPrefersLocal(t *testing.T) {
 	}
 }
 
-// TestPrivateDequesVictimPickPrefersLocal pins the victim-selection
-// phases of the private-deques policy: the local phase's candidate
-// pick only yields answerable (live, unparked) same-node victims, a
-// parked local victim makes the local phase come up empty so the
-// remote phase's pick is consulted, and with everyone parked neither
-// phase has a candidate (the caller backs off toward parking, as
-// before). The same-call noWork→remote fallback chaining these picks
-// together is exercised end to end by
-// TestTopologyRemoteFallbackDrains.
-func TestPrivateDequesVictimPickPrefersLocal(t *testing.T) {
-	s := New(3, WithSeed(7), WithPolicy(PrivateDeques), WithTopology(topology.Synthetic(2, 2)))
-	w0, w1, w2 := s.workers[0], s.workers[1], s.workers[2]
-
-	if v := w0.pickAnswerable(w0.localVictims); v != w1 {
-		t.Fatalf("local pick = %v, want the local victim 1", v)
-	}
-	if v := w0.pickAnswerable(w0.remoteVictims); v != w2 {
-		t.Fatalf("remote pick = %v, want the remote victim 2", v)
-	}
-	w1.parked.Store(true) // local victim cannot answer: local phase is empty
-	if v := w0.pickAnswerable(w0.localVictims); v != nil {
-		t.Fatalf("local pick = worker %d, want none (parked)", v.id)
-	}
-	w2.parked.Store(true) // nobody can answer
-	if v := w0.pickAnswerable(w0.remoteVictims); v != nil {
-		t.Fatalf("remote pick = worker %d, want none (parked)", v.id)
-	}
-	w1.parked.Store(false)
-	w2.state.Store(wsDormant) // dormant is as unanswerable as parked
-	if v := w0.pickAnswerable(w0.remoteVictims); v != nil {
-		t.Fatalf("remote pick = worker %d, want none (dormant)", v.id)
-	}
-	if v := w0.pickAnswerable(w0.localVictims); v != w1 {
-		t.Fatalf("local pick after unpark = %v, want the local victim 1", v)
-	}
-	// A nil candidate is a no-op attempt: no request is posted anywhere.
-	if v := w0.stealAttempt(nil, &w0.stats.localSteals); v != nil {
-		t.Fatalf("stealAttempt(nil) = %v", v)
-	}
-}
-
 // TestTopologyRemoteFallbackDrains runs a real computation on a
 // topology where every worker is alone on its node — every steal is
-// forced through the remote phase — under both policies and a
-// watchdog: the locality preference must never strand work.
+// forced through the remote phase — under a watchdog: the locality
+// preference must never strand work.
 func TestTopologyRemoteFallbackDrains(t *testing.T) {
 	requireParallelism(t)
-	for _, policy := range []Policy{ChaseLev, PrivateDeques} {
-		t.Run(policy.String(), func(t *testing.T) {
-			s := New(2, WithSeed(3), WithPolicy(policy), WithTopology(topology.Synthetic(2, 1)))
-			s.Start()
-			defer s.Shutdown()
-			d := spdag.New(counter.Dynamic{Threshold: 1}, spdag.WithScheduler(s.Submit))
-			done := make(chan int64, 1)
-			go func() {
-				var leaves atomic.Int64
-				s.Run(d, func(u *spdag.Vertex) { spawnTree(u, 13, &leaves) })
-				done <- leaves.Load()
-			}()
-			select {
-			case leaves := <-done:
-				if leaves != 1<<13 {
-					t.Fatalf("%d leaves, want %d (work stranded by the victim order)", leaves, 1<<13)
-				}
-			case <-time.After(2 * time.Minute):
-				t.Fatal("hang: remote fallback failed to drain work")
+	t.Run("chase-lev", func(t *testing.T) {
+		s := New(2, WithSeed(3), WithTopology(topology.Synthetic(2, 1)))
+		s.Start()
+		defer s.Shutdown()
+		d := spdag.New(counter.Dynamic{Threshold: 1}, spdag.WithScheduler(s.Submit))
+		done := make(chan int64, 1)
+		go func() {
+			var leaves atomic.Int64
+			s.Run(d, func(u *spdag.Vertex) { spawnTree(u, 13, &leaves) })
+			done <- leaves.Load()
+		}()
+		select {
+		case leaves := <-done:
+			if leaves != 1<<13 {
+				t.Fatalf("%d leaves, want %d (work stranded by the victim order)", leaves, 1<<13)
 			}
-			st := s.Stats()
-			if st.LocalSteals != 0 {
-				t.Fatalf("LocalSteals = %d on a topology with no same-node victims", st.LocalSteals)
-			}
-			if st.Steals != st.RemoteSteals {
-				t.Fatalf("Steals = %d, RemoteSteals = %d: split does not add up", st.Steals, st.RemoteSteals)
-			}
-			if st.Steals == 0 {
-				t.Fatal("no steals on a 2-worker run of a large tree")
-			}
-		})
-	}
+		case <-time.After(2 * time.Minute):
+			t.Fatal("hang: remote fallback failed to drain work")
+		}
+		st := s.Stats()
+		if st.LocalSteals != 0 {
+			t.Fatalf("LocalSteals = %d on a topology with no same-node victims", st.LocalSteals)
+		}
+		if st.Steals != st.RemoteSteals {
+			t.Fatalf("Steals = %d, RemoteSteals = %d: split does not add up", st.Steals, st.RemoteSteals)
+		}
+		if st.Steals == 0 {
+			t.Fatal("no steals on a 2-worker run of a large tree")
+		}
+	})
 }
 
 // TestTopologyLocalStealsEndToEnd: on a 2×2 synthetic topology with
-// same-node peers available, a large run's steals land mostly through
-// the local phase; at minimum the local counter must move and the
-// split must account for every steal. (The strict preference ordering
-// is pinned deterministically above; this checks the wiring end to
-// end under real concurrency.)
+// same-node peers available, the local counter must move and the split
+// must account for every steal. (The strict preference ordering is
+// pinned deterministically above; this checks the wiring end to end
+// under real concurrency.) Whether one run steals at all is up to the
+// host's interleaving, so the test is driven by work volume: it keeps
+// submitting trees until a local steal lands, under a generous
+// deadline.
 func TestTopologyLocalStealsEndToEnd(t *testing.T) {
 	requireParallelism(t)
-	for _, policy := range []Policy{ChaseLev, PrivateDeques} {
-		t.Run(policy.String(), func(t *testing.T) {
-			s := New(4, WithSeed(11), WithPolicy(policy), WithTopology(topology.Synthetic(2, 2)))
-			s.Start()
-			defer s.Shutdown()
-			d := spdag.New(counter.Dynamic{Threshold: 1}, spdag.WithScheduler(s.Submit))
+	t.Run("chase-lev", func(t *testing.T) {
+		s := New(4, WithSeed(11), WithTopology(topology.Synthetic(2, 2)))
+		s.Start()
+		defer s.Shutdown()
+		d := spdag.New(counter.Dynamic{Threshold: 1}, spdag.WithScheduler(s.Submit))
+		waitCond(t, time.Minute, "a local steal", func() bool {
 			var leaves atomic.Int64
 			s.Run(d, func(u *spdag.Vertex) { spawnTree(u, 14, &leaves) })
 			if leaves.Load() != 1<<14 {
 				t.Fatalf("%d leaves, want %d", leaves.Load(), 1<<14)
 			}
-			st := s.Stats()
-			if st.Steals != st.LocalSteals+st.RemoteSteals {
-				t.Fatalf("Stats split broken: %+v", st)
-			}
-			if st.LocalSteals == 0 {
-				t.Fatal("no local steals on a 4-worker run with same-node victims available")
-			}
+			return s.Stats().LocalSteals > 0
 		})
-	}
+		if st := s.Stats(); st.Steals != st.LocalSteals+st.RemoteSteals {
+			t.Fatalf("Stats split broken: %+v", st)
+		}
+	})
 }
 
 // TestElasticSpawnPicksLeastLoadedNode drives trySpawn directly: with
@@ -244,64 +200,62 @@ func states(s *Scheduler) []int32 {
 // the per-node freelists: bursts on a 2-node elastic pool with a
 // retirement threshold shorter than the idle gaps force workers to
 // retire (draining their freelists into their node's pool) and respawn
-// (drawing from it) every round, under both policies. A vertex leaked
-// across retirement — drained to the wrong place, or lost — shows up
-// as a wrong shadow leaf count or a hang; the accounting must balance
-// (spawned == retired) once the pool quiesces to the floor.
+// (drawing from it) every round. A vertex leaked across retirement —
+// drained to the wrong place, or lost — shows up as a wrong shadow
+// leaf count or a hang; the accounting must balance (spawned ==
+// retired) once the pool quiesces to the floor.
 func TestTopologyElasticChurnFreelists(t *testing.T) {
 	requireParallelism(t)
-	rounds := 40
-	if testing.Short() {
-		rounds = 8
-	}
-	for _, policy := range []Policy{ChaseLev, PrivateDeques} {
-		t.Run(policy.String(), func(t *testing.T) {
-			const (
-				min   = 1
-				max   = 4
-				lanes = 4
-				depth = 6
-			)
-			s := New(min, WithSeed(41), WithPolicy(policy), WithMaxWorkers(max),
-				WithRetireAfter(time.Millisecond), WithTopology(topology.Synthetic(2, 2)))
-			d := spdag.New(counter.Dynamic{Threshold: 2}, spdag.WithScheduler(s.Submit))
-			s.Start()
-			defer s.Shutdown()
+	t.Run("chase-lev", func(t *testing.T) {
+		rounds := 40
+		if testing.Short() {
+			rounds = 8
+		}
+		const (
+			min   = 1
+			max   = 4
+			lanes = 4
+			depth = 6
+		)
+		s := New(min, WithSeed(41), WithMaxWorkers(max),
+			WithRetireAfter(time.Millisecond), WithTopology(topology.Synthetic(2, 2)))
+		d := spdag.New(counter.Dynamic{Threshold: 2}, spdag.WithScheduler(s.Submit))
+		s.Start()
+		defer s.Shutdown()
 
-			errc := make(chan error, 1)
-			go func() {
-				for round := 0; round < rounds; round++ {
-					var wg sync.WaitGroup
-					var leaves atomic.Int64
-					for lane := 0; lane < lanes; lane++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							s.Run(d, func(u *spdag.Vertex) { spawnTree(u, depth, &leaves) })
-						}()
-					}
-					wg.Wait()
-					if got, want := leaves.Load(), int64(lanes<<depth); got != want {
-						errc <- fmt.Errorf("round %d: %d leaves, want %d (lost vertices)", round, got, want)
-						return
-					}
-					time.Sleep(3 * time.Millisecond) // outlast RetireAfter: force churn
+		errc := make(chan error, 1)
+		go func() {
+			for round := 0; round < rounds; round++ {
+				var wg sync.WaitGroup
+				var leaves atomic.Int64
+				for lane := 0; lane < lanes; lane++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						s.Run(d, func(u *spdag.Vertex) { spawnTree(u, depth, &leaves) })
+					}()
 				}
-				errc <- nil
-			}()
-			select {
-			case err := <-errc:
-				if err != nil {
-					t.Fatal(err)
+				wg.Wait()
+				if got, want := leaves.Load(), int64(lanes<<depth); got != want {
+					errc <- fmt.Errorf("round %d: %d leaves, want %d (lost vertices)", round, got, want)
+					return
 				}
-			case <-time.After(2 * time.Minute):
-				t.Fatalf("hang during topology churn (live=%d parked=%d spawned=%d retired=%d)",
-					s.NumWorkers(), s.ParkedWorkers(), s.SpawnedWorkers(), s.RetiredWorkers())
+				time.Sleep(3 * time.Millisecond) // outlast RetireAfter: force churn
 			}
-			waitCond(t, 10*time.Second, "pool quiesced to the floor", func() bool {
-				return s.NumWorkers() == min && s.ParkedWorkers() == min &&
-					s.RetiredWorkers() == s.SpawnedWorkers()
-			})
+			errc <- nil
+		}()
+		select {
+		case err := <-errc:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("hang during topology churn (live=%d parked=%d spawned=%d retired=%d)",
+				s.NumWorkers(), s.ParkedWorkers(), s.SpawnedWorkers(), s.RetiredWorkers())
+		}
+		waitCond(t, 10*time.Second, "pool quiesced to the floor", func() bool {
+			return s.NumWorkers() == min && s.ParkedWorkers() == min &&
+				s.RetiredWorkers() == s.SpawnedWorkers()
 		})
-	}
+	})
 }

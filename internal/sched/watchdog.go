@@ -19,9 +19,9 @@ package sched
 //     template pins in tests). Tasks that are *too* long are the
 //     per-request deadline's problem, not the watchdog's.
 //
-// On detection the watchdog counts the stall (Stats.Stalls), hands a
-// per-worker dump to the OnStall hook (the gateway uses it to enter
-// degraded mode; tests use it to observe detection), and then nudges
+// On detection the watchdog hands a per-worker dump to the OnStall hook
+// (the gateway uses it to enter degraded mode; tests use it to observe
+// detection), counts the stall (Stats.Stalls), and then nudges
 // recovery by re-waking every parked worker. The nudge is always
 // sound — a spurious wake is absorbed by the park protocol — and it
 // genuinely repairs one whole fault class: a lost wake token with work
@@ -50,7 +50,7 @@ type WorkerState struct {
 	State     string // "live", "retiring", "dormant"
 	Parked    bool
 	Executing time.Duration // time inside the current Execute (0 = not executing)
-	DequeLen  int           // ChaseLev only; -1 when unobservable (private deques)
+	DequeLen  int
 	Executed  uint64
 }
 
@@ -79,7 +79,8 @@ func (s *Scheduler) OnStall(fn func(StallReport)) {
 	s.onStall.Store(&fn)
 }
 
-// Stalls returns the number of stalls the watchdog has detected.
+// Stalls returns the number of stalls the watchdog has detected. A
+// stall is counted only after its OnStall hook has returned.
 func (s *Scheduler) Stalls() uint64 { return s.wdStalls.Load() }
 
 // WatchdogThreshold returns the armed no-progress window (0 = off).
@@ -121,18 +122,11 @@ func (s *Scheduler) stallReport(since time.Duration) StallReport {
 			Node:     w.node,
 			State:    map[int32]string{wsLive: "live", wsRetiring: "retiring"}[st],
 			Parked:   w.parked.Load(),
-			DequeLen: -1,
+			DequeLen: int(w.dq.Size()),
 			Executed: w.stats.executed.Load(),
 		}
 		if start := w.execStart.Load(); start != 0 {
 			ws.Executing = time.Duration(now - start)
-		}
-		if s.policy == ChaseLev {
-			// The Chase-Lev deque's indices are atomics, so its size is
-			// observable from off-thread; a private deque is owner-only
-			// by design and is reported as unobservable instead of read
-			// racily.
-			ws.DequeLen = int(w.dq.Size())
 		}
 		r.Workers = append(r.Workers, ws)
 	}
@@ -173,10 +167,12 @@ func (s *Scheduler) watchdog() {
 		if since < s.wdThreshold {
 			continue
 		}
-		s.wdStalls.Add(1)
+		// Hook first, count second: a reader that sees the count also
+		// sees everything the hook did.
 		if fn := s.onStall.Load(); fn != nil {
 			(*fn)(s.stallReport(since))
 		}
+		s.wdStalls.Add(1)
 		// Recovery nudge: re-deliver wake tokens to every parked worker.
 		// Safe unconditionally (spurious wakes are absorbed by the park
 		// protocol); sufficient whenever the stall is a lost wake with

@@ -68,39 +68,36 @@ func TestWatchdogQuietWhenIdle(t *testing.T) {
 	}
 }
 
-// TestWatchdogSuppressedMidExecute pins the long-task guard on both
-// stealing policies: a single vertex body spinning for many multiples
-// of the threshold is progress, not a stall — the worker's
-// mid-execute mark must suppress detection for the body's whole
-// duration.
+// TestWatchdogSuppressedMidExecute pins the long-task guard: a single
+// vertex body spinning for many multiples of the threshold is
+// progress, not a stall — the worker's mid-execute mark must suppress
+// detection for the body's whole duration.
 func TestWatchdogSuppressedMidExecute(t *testing.T) {
-	for _, pol := range []Policy{ChaseLev, PrivateDeques} {
-		t.Run(pol.String(), func(t *testing.T) {
-			// The watchdog runs on a manual clock, so the only place
-			// simulated time passes is inside the body — after the
-			// mid-execute mark is set. Every sampling window the watchdog
-			// can possibly observe therefore has a worker inside Execute,
-			// and the no-stall assertion is deterministic instead of
-			// racing wall-clock starvation between Run and markExec.
-			clk := NewManualClock(time.Unix(0, 0))
-			s := New(2, WithSeed(1), WithPolicy(pol), WithWatchdog(10*time.Millisecond), WithClock(clk))
-			s.Start()
-			defer s.Shutdown()
-			d := spdag.New(counter.Dynamic{Threshold: 1}, spdag.WithScheduler(s.Submit))
-			s.Run(d, func(*spdag.Vertex) {
-				// 15 threshold windows of no vertex completing anywhere,
-				// with a pause after each advance so the sampler can
-				// observe the window mid-execute.
-				for i := 0; i < 60; i++ {
-					clk.Advance(2500 * time.Microsecond)
-					time.Sleep(100 * time.Microsecond)
-				}
-			})
-			if n := s.Stalls(); n != 0 {
-				t.Fatalf("%v: long-running task tripped the watchdog %d times", pol, n)
+	t.Run("chase-lev", func(t *testing.T) {
+		// The watchdog runs on a manual clock, so the only place
+		// simulated time passes is inside the body — after the
+		// mid-execute mark is set. Every sampling window the watchdog
+		// can possibly observe therefore has a worker inside Execute,
+		// and the no-stall assertion is deterministic instead of
+		// racing wall-clock starvation between Run and markExec.
+		clk := NewManualClock(time.Unix(0, 0))
+		s := New(2, WithSeed(1), WithWatchdog(10*time.Millisecond), WithClock(clk))
+		s.Start()
+		defer s.Shutdown()
+		d := spdag.New(counter.Dynamic{Threshold: 1}, spdag.WithScheduler(s.Submit))
+		s.Run(d, func(*spdag.Vertex) {
+			// 15 threshold windows of no vertex completing anywhere,
+			// with a pause after each advance so the sampler can
+			// observe the window mid-execute.
+			for i := 0; i < 60; i++ {
+				clk.Advance(2500 * time.Microsecond)
+				time.Sleep(100 * time.Microsecond)
 			}
 		})
-	}
+		if n := s.Stalls(); n != 0 {
+			t.Fatalf("long-running task tripped the watchdog %d times", n)
+		}
+	})
 }
 
 // TestWatchdogRecoveryNudge checks the detector's wakeAll is benign

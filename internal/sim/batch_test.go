@@ -21,7 +21,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -29,7 +28,6 @@ import (
 func batchCfg(batch uint64, trace *bytes.Buffer) sim.Config {
 	cfg := sim.Config{
 		Workers:           64,
-		Policy:            sched.ChaseLev,
 		Seed:              11,
 		Topo:              topology.Flat(64),
 		PromoteContention: 1,

@@ -46,9 +46,9 @@ func spawnTree(u *spdag.Vertex, depth int) {
 
 // realStats runs `runs` sequential depth-`depth` trees on a fresh
 // fixed pool of p workers and returns the scheduler's stats.
-func realStats(t *testing.T, p int, policy sched.Policy, depth, runs int, seed uint64) sched.Stats {
+func realStats(t *testing.T, p, depth, runs int, seed uint64) sched.Stats {
 	t.Helper()
-	s := sched.New(p, sched.WithSeed(seed), sched.WithPolicy(policy))
+	s := sched.New(p, sched.WithSeed(seed))
 	s.Start()
 	defer s.Shutdown()
 	d := spdag.New(counter.Dynamic{Threshold: 1}, spdag.WithScheduler(s.Submit))
@@ -64,14 +64,14 @@ func realStats(t *testing.T, p int, policy sched.Policy, depth, runs int, seed u
 // simStats replays the same workload in the simulator: one arrival per
 // run, spaced far enough apart that each computation drains before the
 // next arrives (sequential, like the real s.Run loop).
-func simStats(t *testing.T, p int, policy sched.Policy, depth, runs int, seed uint64) sim.Result {
+func simStats(t *testing.T, p, depth, runs int, seed uint64) sim.Result {
 	t.Helper()
 	var arr []sim.Arrival
 	gap := 8 << depth // ≥ 4× the serial tick count of one tree
 	for i := 0; i < runs; i++ {
 		arr = append(arr, sim.Arrival{Tick: i * gap, Depth: depth})
 	}
-	r, err := sim.Run(sim.Config{Workers: p, Policy: policy, Seed: seed, Arrivals: arr})
+	r, err := sim.Run(sim.Config{Workers: p, Seed: seed, Arrivals: arr})
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
@@ -84,34 +84,32 @@ func simStats(t *testing.T, p int, policy sched.Policy, depth, runs int, seed ui
 func TestCrossValidationExecuted(t *testing.T) {
 	const depth, runs = 8, 3
 	want := uint64(runs) * (2 << depth)
-	for _, policy := range []sched.Policy{sched.ChaseLev, sched.PrivateDeques} {
-		for _, p := range []int{1, 2, 3, 4} {
-			st := realStats(t, p, policy, depth, runs, 42)
-			r := simStats(t, p, policy, depth, runs, 42)
-			if st.Executed != want {
-				t.Errorf("%s p=%d: real executed %d, want %d", policy, p, st.Executed, want)
-			}
-			if r.Executed != want {
-				t.Errorf("%s p=%d: sim executed %d, want %d", policy, p, r.Executed, want)
-			}
-			if r.Spawned != 0 || r.Retired != 0 {
-				t.Errorf("%s p=%d: sim fixed pool moved: spawned=%d retired=%d", policy, p, r.Spawned, r.Retired)
-			}
-			if st.Steals != st.LocalSteals+st.RemoteSteals {
-				t.Errorf("%s p=%d: real steal decomposition broken: %d != %d+%d",
-					policy, p, st.Steals, st.LocalSteals, st.RemoteSteals)
-			}
-			if r.Steals != r.LocalSteals+r.RemoteSteals {
-				t.Errorf("%s p=%d: sim steal decomposition broken: %d != %d+%d",
-					policy, p, r.Steals, r.LocalSteals, r.RemoteSteals)
-			}
-			if r.RemoteSteals != 0 || st.RemoteSteals != 0 {
-				t.Errorf("%s p=%d: remote steals on a flat topology (sim %d, real %d)",
-					policy, p, r.RemoteSteals, st.RemoteSteals)
-			}
-			if p == 1 && (r.Steals != 0 || st.Steals != 0) {
-				t.Errorf("%s p=1: steals with no victim (sim %d, real %d)", policy, r.Steals, st.Steals)
-			}
+	for _, p := range []int{1, 2, 3, 4} {
+		st := realStats(t, p, depth, runs, 42)
+		r := simStats(t, p, depth, runs, 42)
+		if st.Executed != want {
+			t.Errorf("p=%d: real executed %d, want %d", p, st.Executed, want)
+		}
+		if r.Executed != want {
+			t.Errorf("p=%d: sim executed %d, want %d", p, r.Executed, want)
+		}
+		if r.Spawned != 0 || r.Retired != 0 {
+			t.Errorf("p=%d: sim fixed pool moved: spawned=%d retired=%d", p, r.Spawned, r.Retired)
+		}
+		if st.Steals != st.LocalSteals+st.RemoteSteals {
+			t.Errorf("p=%d: real steal decomposition broken: %d != %d+%d",
+				p, st.Steals, st.LocalSteals, st.RemoteSteals)
+		}
+		if r.Steals != r.LocalSteals+r.RemoteSteals {
+			t.Errorf("p=%d: sim steal decomposition broken: %d != %d+%d",
+				p, r.Steals, r.LocalSteals, r.RemoteSteals)
+		}
+		if r.RemoteSteals != 0 || st.RemoteSteals != 0 {
+			t.Errorf("p=%d: remote steals on a flat topology (sim %d, real %d)",
+				p, r.RemoteSteals, st.RemoteSteals)
+		}
+		if p == 1 && (r.Steals != 0 || st.Steals != 0) {
+			t.Errorf("p=1: steals with no victim (sim %d, real %d)", r.Steals, st.Steals)
 		}
 	}
 }
@@ -125,7 +123,7 @@ func TestCrossValidationStealsQualitative(t *testing.T) {
 		defer runtime.GOMAXPROCS(prev)
 	}
 	const depth = 12
-	r := simStats(t, 4, sched.ChaseLev, depth, 1, 3)
+	r := simStats(t, 4, depth, 1, 3)
 	if r.Steals == 0 {
 		t.Error("sim: no steals on a 4-worker run of a large tree")
 	}
@@ -135,7 +133,7 @@ func TestCrossValidationStealsQualitative(t *testing.T) {
 	// eventually", so retry fresh pools (new seeds) a bounded number
 	// of times before calling it a failure.
 	for attempt := 0; attempt < 32; attempt++ {
-		if st := realStats(t, 4, sched.ChaseLev, depth, 1, uint64(3+attempt)); st.Steals > 0 {
+		if st := realStats(t, 4, depth, 1, uint64(3+attempt)); st.Steals > 0 {
 			return
 		}
 	}
@@ -168,7 +166,7 @@ func TestCrossValidationLeafCount(t *testing.T) {
 	if leaves.Load() != 1<<depth {
 		t.Fatalf("real leaves %d, want %d", leaves.Load(), 1<<depth)
 	}
-	r := simStats(t, 2, sched.ChaseLev, depth, 1, 9)
+	r := simStats(t, 2, depth, 1, 9)
 	if r.Executed != 2<<depth {
 		t.Fatalf("sim executed %d, want %d", r.Executed, 2<<depth)
 	}

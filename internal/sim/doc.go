@@ -20,9 +20,9 @@
 // What it models, and how faithfully:
 //
 //   - One simulated worker takes one action per tick, in worker-id
-//     order: answer a pending steal request (private deques), execute
-//     one vertex (own deque bottom, then the injector FIFO, then a
-//     steal), or take one idle step of the spin→yield→park ladder.
+//     order: execute one vertex (own deque bottom, then the injector
+//     FIFO, then a steal), or take one idle step of the
+//     spin→yield→park ladder.
 //     The workload is the test suite's binary spawn tree: a
 //     computation of depth D executes exactly 2^(D+1) vertices
 //     (2^(D+1)−1 tree vertices plus the final), the same count the
@@ -32,12 +32,6 @@
 //     the same per-worker RNGs (seed + id·0x9e37, as sched.New) and
 //     the same VictimWalk/WalkVictim cyclic walks over the same
 //     victim-list construction.
-//   - The private-deques request/transfer protocol is modeled with
-//     one-tick answer latency: a thief posts to the first answerable
-//     victim, the victim answers at the head of its next action, and a
-//     thief whose victim parks or retires withdraws — the commit/
-//     withdraw race of the real protocol collapses to a deterministic
-//     order because the tick loop is single-threaded.
 //   - Elasticity replays SpawnPressureStep/SpawnPlacement/
 //     RetireEligible directly: wake attempts that find no parked
 //     worker build spawn pressure, spawns claim the dormant slot on
@@ -52,7 +46,7 @@
 //     contention surface.
 //
 // What it deliberately does not model: instruction timing, cache
-// behavior, or the memory-level races of the real protocols (the park
+// behavior, or the memory-level races of the real scheduler (the park
 // recheck, the Chase-Lev steal CAS). Steal *counts* are therefore
 // scheduling-shaped, not timing-shaped — the cross-validation test
 // pins the deterministic quantities exactly (executed totals,

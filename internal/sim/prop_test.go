@@ -18,7 +18,6 @@ package sim_test
 import (
 	"testing"
 
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -58,19 +57,17 @@ func TestPropWorkConservation1000(t *testing.T) {
 		{Tick: 0, Depth: 12}, {Tick: 0, Depth: 10}, {Tick: 3, Depth: 11},
 		{Tick: 7, Depth: 12}, {Tick: 7, Depth: 8},
 	}
-	for _, policy := range []sched.Policy{sched.ChaseLev, sched.PrivateDeques} {
-		for _, topo := range []topology.Topology{topology.Flat(1000), topology.Synthetic(8, 125)} {
-			r, err := sim.Run(sim.Config{
-				Workers: 1000, Policy: policy, Topo: topo, Seed: 11, Arrivals: arr,
-			})
-			label := policy.String() + "/" + topoLabel(topo)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			checkConservation(t, label, r, arr)
-			if r.Spawned != 0 || r.Retired != 0 {
-				t.Errorf("%s: fixed 1000-worker pool moved: spawned=%d retired=%d", label, r.Spawned, r.Retired)
-			}
+	for _, topo := range []topology.Topology{topology.Flat(1000), topology.Synthetic(8, 125)} {
+		r, err := sim.Run(sim.Config{
+			Workers: 1000, Topo: topo, Seed: 11, Arrivals: arr,
+		})
+		label := topoLabel(topo)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		checkConservation(t, label, r, arr)
+		if r.Spawned != 0 || r.Retired != 0 {
+			t.Errorf("%s: fixed 1000-worker pool moved: spawned=%d retired=%d", label, r.Spawned, r.Retired)
 		}
 	}
 }
@@ -94,15 +91,13 @@ func TestPropNoLostWakeup1000(t *testing.T) {
 		// rounds, so every worker is parked well before each arrival.
 		arr = append(arr, sim.Arrival{Tick: i * 200, Depth: 5})
 	}
-	for _, policy := range []sched.Policy{sched.ChaseLev, sched.PrivateDeques} {
-		r, err := sim.Run(sim.Config{
-			Workers: 1000, Policy: policy, Seed: 23, Arrivals: arr,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
-		}
-		checkConservation(t, policy.String(), r, arr)
+	r, err := sim.Run(sim.Config{
+		Workers: 1000, Seed: 23, Arrivals: arr,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkConservation(t, "no-lost-wakeup", r, arr)
 }
 
 // TestPropElasticQuiesce1000 grows a pool from a 16-worker floor
@@ -113,26 +108,24 @@ func TestPropElasticQuiesce1000(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		arr = append(arr, sim.Arrival{Tick: i / 32, Depth: 9})
 	}
-	for _, policy := range []sched.Policy{sched.ChaseLev, sched.PrivateDeques} {
-		r, err := sim.Run(sim.Config{
-			Workers: 16, MaxWorkers: 1000, Policy: policy, Seed: 5, Arrivals: arr,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
-		}
-		checkConservation(t, policy.String(), r, arr)
-		if r.Spawned != r.Retired {
-			t.Errorf("%s: spawned %d != retired %d after quiesce", policy, r.Spawned, r.Retired)
-		}
-		if r.SteadyLive != 16 {
-			t.Errorf("%s: steady live %d, want the 16-worker floor", policy, r.SteadyLive)
-		}
-		if r.Spawned == 0 {
-			t.Errorf("%s: burst never grew the pool (spawned=0) — the scenario lost its point", policy)
-		}
-		if r.PeakLive <= 16 {
-			t.Errorf("%s: peak live %d never rose above the floor", policy, r.PeakLive)
-		}
+	r, err := sim.Run(sim.Config{
+		Workers: 16, MaxWorkers: 1000, Seed: 5, Arrivals: arr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, "elastic", r, arr)
+	if r.Spawned != r.Retired {
+		t.Errorf("spawned %d != retired %d after quiesce", r.Spawned, r.Retired)
+	}
+	if r.SteadyLive != 16 {
+		t.Errorf("steady live %d, want the 16-worker floor", r.SteadyLive)
+	}
+	if r.Spawned == 0 {
+		t.Error("burst never grew the pool (spawned=0) — the scenario lost its point")
+	}
+	if r.PeakLive <= 16 {
+		t.Errorf("peak live %d never rose above the floor", r.PeakLive)
 	}
 }
 

@@ -24,9 +24,8 @@ type Arrival struct {
 // fields pick the defaults noted on each; Workers and Arrivals are
 // required.
 type Config struct {
-	Workers    int          // pool floor: live workers at tick 0 (required, ≥ 1)
-	MaxWorkers int          // pool ceiling; > Workers makes the pool elastic (0 = Workers, fixed)
-	Policy     sched.Policy // ChaseLev or PrivateDeques
+	Workers    int // pool floor: live workers at tick 0 (required, ≥ 1)
+	MaxWorkers int // pool ceiling; > Workers makes the pool elastic (0 = Workers, fixed)
 	Topo       topology.Topology
 	Seed       uint64
 	Arrivals   []Arrival
@@ -139,8 +138,7 @@ type comp struct {
 }
 
 // simWorker is one simulated worker slot. The scheduling-state fields
-// mirror internal/sched's worker; the request/transfer pair models the
-// private-deques protocol with the races collapsed by the tick loop.
+// mirror internal/sched's worker.
 type simWorker struct {
 	id, node int
 	g        *rng.Xoshiro256ss
@@ -162,18 +160,6 @@ type simWorker struct {
 	// comp index; only ever read by key, so map order cannot leak into
 	// the deterministic trace.
 	pend map[int]uint64
-
-	// Private-deques protocol state. request is the id of a thief
-	// awaiting our answer (−1 none). A thief that posted a request
-	// records the victim (waitingOn) and the phase it will credit
-	// (waitPhase: 0 local, 1 remote); the victim's answer lands in
-	// answer/answerOK (answerOK false = noWork).
-	request   int
-	waitingOn int
-	waitPhase int
-	hasAnswer bool
-	answerOK  bool
-	answer    vtx
 }
 
 // state is the whole simulation.
@@ -228,9 +214,8 @@ func Run(cfg Config) (Result, error) {
 	for i := range s.workers {
 		s.workers[i] = &simWorker{
 			id: i, node: cfg.Topo.NodeOf(i),
-			g:       rng.NewXoshiro(cfg.Seed + uint64(i)*0x9e37),
-			live:    i < cfg.Workers,
-			request: -1, waitingOn: -1,
+			g:    rng.NewXoshiro(cfg.Seed + uint64(i)*0x9e37),
+			live: i < cfg.Workers,
 		}
 	}
 	for _, w := range s.workers {
@@ -440,7 +425,6 @@ func (s *state) trySpawn(tick int) {
 	w.parkTicks = 0
 	w.idleRounds = 0
 	w.queue = w.queue[:0]
-	w.request, w.waitingOn, w.hasAnswer = -1, -1, false
 	s.nlive++
 	s.res.Spawned++
 	s.tick.Spawns++
@@ -460,27 +444,11 @@ func (s *state) parkedStep(w *simWorker, tick int) {
 	s.nlive--
 	s.res.Retired++
 	s.tick.Retires++
-	// The real retire path answers any pending steal request with
-	// noWork before the slot goes dormant; a parked sim worker cannot
-	// hold a request (thieves skip parked victims), but mirror the
-	// defensive respond so the protocol state can never wedge.
-	if w.request != -1 {
-		t := s.workers[w.request]
-		w.request = -1
-		t.hasAnswer, t.answerOK = true, false
-	}
 	s.trace("t%d - w%d", tick, w.id)
 }
 
 // step is one unparked worker's action for the tick.
 func (s *state) step(w *simWorker, tick int) {
-	if s.cfg.Policy == sched.PrivateDeques {
-		s.respond(w)
-		if w.waitingOn != -1 {
-			s.waitStep(w, tick)
-			return
-		}
-	}
 	// Own deque bottom, then the injector FIFO.
 	if n := len(w.queue); n > 0 {
 		v := w.queue[n-1]
@@ -492,13 +460,6 @@ func (s *state) step(w *simWorker, tick int) {
 		v := s.inj[0]
 		s.inj = s.inj[1:]
 		s.execute(w, v, tick)
-		return
-	}
-	if s.cfg.Policy == sched.PrivateDeques {
-		if s.postRequest(w, w.local, 0) || s.postRequest(w, w.remote, 1) {
-			return
-		}
-		s.idle(w, tick)
 		return
 	}
 	if s.stealRound(w, w.local, 0, tick) || s.stealRound(w, w.remote, 1, tick) {
@@ -604,8 +565,8 @@ func (s *state) idle(w *simWorker, tick int) {
 	}
 }
 
-// stealRound is the ChaseLev steal: one cyclic walk over the victim
-// list, taking the first non-empty victim's oldest vertex. phase 0
+// stealRound is one steal round: a cyclic walk over the victim list,
+// taking the first non-empty victim's oldest vertex. phase 0
 // credits local, 1 remote.
 func (s *state) stealRound(w *simWorker, victims []int, phase, tick int) bool {
 	n := len(victims)
@@ -633,93 +594,4 @@ func (s *state) stealRound(w *simWorker, victims []int, phase, tick int) bool {
 		return true
 	}
 	return false
-}
-
-// postRequest is the private-deques steal attempt: walk the victim
-// list for the first answerable (live, unparked) candidate and post a
-// request if its request cell is free. Mirrors pickAnswerable +
-// stealAttempt's CAS; a busy victim fails the whole phase, as in the
-// real protocol.
-func (s *state) postRequest(w *simWorker, victims []int, phase int) bool {
-	n := len(victims)
-	if n == 0 {
-		return false
-	}
-	start := sched.VictimWalk(w.g, n)
-	for attempt := 0; attempt < n; attempt++ {
-		vic := s.workers[victims[sched.WalkVictim(start, attempt, n)]]
-		if !vic.live || vic.parked {
-			continue
-		}
-		if vic.request != -1 {
-			return false // victim busy with another thief
-		}
-		vic.request = w.id
-		w.waitingOn = vic.id
-		w.waitPhase = phase
-		return true
-	}
-	return false
-}
-
-// respond answers at most one pending steal request with the oldest
-// queued vertex, or noWork on an empty deque (sched's respond).
-func (s *state) respond(w *simWorker) {
-	if w.request == -1 {
-		return
-	}
-	t := s.workers[w.request]
-	w.request = -1
-	if len(w.queue) > 0 {
-		t.answer = w.queue[0]
-		w.queue = w.queue[1:]
-		t.answerOK = true
-	} else {
-		t.answerOK = false
-	}
-	t.hasAnswer = true
-}
-
-// waitStep advances a thief that has a request posted: collect the
-// answer, or withdraw from a victim that parked or retired. A noWork
-// answer (or a withdrawal) in the local phase escalates to a remote
-// request in the same action, as findWorkPrivate's same-call fallback.
-func (s *state) waitStep(w *simWorker, tick int) {
-	if w.hasAnswer {
-		w.hasAnswer = false
-		vic := w.waitingOn
-		w.waitingOn = -1
-		if w.answerOK {
-			if w.waitPhase == 0 {
-				w.localSteals++
-				s.tick.LocalSteals++
-				s.trace("t%d w%d sl v%d", tick, w.id, vic)
-			} else {
-				w.remoteSteals++
-				s.tick.RemoteSteals++
-				s.trace("t%d w%d sr v%d", tick, w.id, vic)
-			}
-			s.execute(w, w.answer, tick)
-			return
-		}
-		if w.waitPhase == 0 && s.postRequest(w, w.remote, 1) {
-			return
-		}
-		s.idle(w, tick)
-		return
-	}
-	vic := s.workers[w.waitingOn]
-	if vic.parked || !vic.live {
-		if vic.request == w.id {
-			vic.request = -1
-		}
-		phase := w.waitPhase
-		w.waitingOn = -1
-		if phase == 0 && s.postRequest(w, w.remote, 1) {
-			return
-		}
-		s.idle(w, tick)
-	}
-	// Otherwise: keep waiting — the wait loop burns the tick without
-	// counting an idle round, as the real spin-wait never parks.
 }

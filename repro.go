@@ -184,9 +184,9 @@ func WithRunHook(h func(RunInfo)) Option { return func(c *Config) { c.RunHook = 
 // WithWatchdog arms the scheduler's stall watchdog: if a computation
 // is in flight but no vertex has executed for d — and no worker is
 // inside a task body, so a single long-running task never trips it —
-// the runtime counts a stall (Stats.Stalls), hands a per-worker state
-// dump to any Scheduler.OnStall hook, and re-wakes every parked worker
-// as a recovery nudge. The watchdog is the runtime's self-defense
+// the runtime hands a per-worker state dump to any Scheduler.OnStall
+// hook, then counts a stall (Stats.Stalls), and re-wakes every parked
+// worker as a recovery nudge. The watchdog is the runtime's self-defense
 // against wedged-scheduler shapes (a lost wake token with work queued,
 // a preempted worker holding the only ready vertex); d ≤ 0 (the
 // default) runs no watchdog goroutine at all.
@@ -313,7 +313,8 @@ type Stats struct {
 	CounterLocalIncs uint64
 	// Stalls counts watchdog detections (WithWatchdog): windows in
 	// which a computation was in flight but no vertex executed and no
-	// worker was inside a task body. Always 0 without a watchdog. A
+	// worker was inside a task body, each counted after its OnStall
+	// hook returned. Always 0 without a watchdog. A
 	// non-zero count that stops growing means the runtime recovered
 	// (often from the watchdog's own re-wake nudge); a growing count
 	// means it is wedged and outside help — a deadline, a reap — is the
@@ -351,7 +352,7 @@ func (r *Runtime) Stats() Stats {
 }
 
 // Scheduler exposes the underlying scheduler (advanced: stats,
-// policy). Most callers want Stats.
+// watchdog hook). Most callers want Stats.
 func (r *Runtime) Scheduler() *sched.Scheduler { return r.n.Scheduler() }
 
 // Dag exposes the underlying sp-dag (advanced: validation,
