@@ -499,35 +499,6 @@ func BenchmarkFig13Topology(b *testing.B) {
 	}
 }
 
-// BenchmarkFig13NumaProxy — the pre-topology Figure 13: the NUMA
-// placement study through the simulated-penalty proxy
-// (fanin-numa-proxy). Kept alongside BenchmarkFig13Topology for hosts
-// where only the timing shape is wanted; the check is a null result
-// (policy must not reorder algorithms). Workers and the counter
-// algorithm are pinned explicitly so no cell follows the runtime
-// default.
-func BenchmarkFig13NumaProxy(b *testing.B) {
-	const workers = 2
-	for _, policy := range []workload.NumaPolicy{workload.NumaOff, workload.NumaRoundRobin, workload.NumaFirstTouch} {
-		for _, algo := range []string{"fetchadd", "dyn"} {
-			b.Run(fmt.Sprintf("%s/%s", policy, algo), func(b *testing.B) {
-				alg, err := counter.Parse(algo, nested.DefaultThreshold(workers))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt := newRT(b, workers, alg)
-				var res workload.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res = workload.FaninNUMA(rt, benchN, policy)
-				}
-				b.StopTimer()
-				reportFanin(b, res)
-			})
-		}
-	}
-}
-
 // BenchmarkFig14Granularity — Figure 14 (appendix C.3): fanin with
 // calibrated dummy work per task.
 func BenchmarkFig14Granularity(b *testing.B) {

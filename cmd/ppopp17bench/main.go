@@ -16,10 +16,8 @@
 // fanin under a flat vs synthetic multi-node topologies, exercising
 // the two-phase local-then-remote steal order and per-node vertex
 // pools, with the steal-locality split emitted as
-// nb_local_steals/nb_remote_steals. The pre-topology
-// simulated-placement-penalty proxy survives as -fig 13-proxy
-// (bench fanin-numa-proxy). Artifact records additionally carry a
-// `caveat` output when the host exposes fewer than 2 hardware
+// nb_local_steals/nb_remote_steals. Artifact records additionally
+// carry a `caveat` output when the host exposes fewer than 2 hardware
 // threads, so readers of the JSON see the measurement limitation
 // EXPERIMENTS.md states in prose.
 //
@@ -56,7 +54,6 @@
 //	ppopp17bench -fig phase               # prologue-into-storm, adaptive promotion
 //	ppopp17bench -fig burst               # elastic vs fixed pools on bursty storms
 //	ppopp17bench -fig 13                  # topology study on the real scheduler
-//	ppopp17bench -fig 13-proxy            # the simulated placement-penalty proxy
 //	ppopp17bench -fig serve               # gateway offered-load sweep (throughput/shed/p99)
 //	ppopp17bench -fig sink                # run-record sink coalescing threshold sweep
 //	ppopp17bench -fig chaos               # self-defense recovery timeline (reap/degrade/recover)

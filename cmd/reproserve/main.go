@@ -7,8 +7,7 @@
 //	reproserve -addr :8080 -workers 2 -max-workers 8 \
 //	           -tenant-rate 100 -tenant-burst 20 -queue-depth 128
 //
-// Endpoints (v1; the unversioned pre-v1 paths remain as aliases for
-// one release):
+// Endpoints (all under /v1):
 //
 //	POST   /v1/runs/{template}?tenant=T&n=N&timeout=D  run a computation (sync)
 //	POST   /v1/runs/{template}?mode=async&...          202 {"run_id"} after admission
@@ -92,13 +91,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Validate the spec gracefully, then hand the string to WithCounter
-	// so the in-counter grow threshold resolves against the final
-	// worker count (not the pre-flag guess).
-	if _, err := repro.ParseAlgorithm(*counterSpec, 1); err != nil {
+	// Validate the spec gracefully; WithCounter would panic on it.
+	if err := repro.CheckCounterSpec(*counterSpec); err != nil {
 		log.Fatalf("reproserve: -counter: %v", err)
 	}
-	opts := []repro.Option{repro.WithCounter(*counterSpec)}
+	opts := []repro.Option{repro.WithCounter(*counterSpec), repro.WithWatchdog(*watchdog)}
 	if *workers > 0 {
 		opts = append(opts, repro.WithWorkers(*workers))
 	}
@@ -133,7 +130,6 @@ func main() {
 		MaxTimeout:       *maxTimeout,
 		ReapGrace:        *reapGrace,
 		DegradedHoldDown: *holdDown,
-		Watchdog:         *watchdog,
 	})
 	if err := srv.Listen(); err != nil {
 		log.Fatalf("reproserve: %v", err)

@@ -1,9 +1,6 @@
 package repro_test
 
 import (
-	"fmt"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -15,16 +12,17 @@ import (
 // These tests pin the elastic worker pool's public contract: a Runtime
 // built with WithWorkers(min) and WithMaxWorkers(max) grows under
 // burst load, completes it, and quiesces back to min live workers and
-// ~0 CPU when the load is gone. The scheduler-
-// level protocol tests live in internal/sched; these exercise the same
-// machinery end-to-end through the supported API, the way README
-// presents it.
+// ~0 CPU when the load is gone. The scheduler-level protocol tests
+// live in internal/sched, and the retire/respawn churn test in
+// internal/nested; these exercise the same machinery end-to-end
+// through the supported API, the way README presents it.
 
-func elasticRT(t *testing.T, min, max int, retire time.Duration) *repro.Runtime {
+// elasticRT builds a min..max pool on the default retirement threshold;
+// the quiescence assertions below poll for the floor rather than sleep
+// for a fixed retirement window.
+func elasticRT(t *testing.T, min, max int) *repro.Runtime {
 	t.Helper()
-	rt := repro.NewRuntime(repro.WithConfig(repro.Config{
-		Workers: min, MaxWorkers: max, RetireAfter: retire, Seed: 3,
-	}))
+	rt := repro.NewRuntime(repro.WithWorkers(min), repro.WithMaxWorkers(max), repro.WithSeed(3))
 	t.Cleanup(func() { rt.Close() })
 	return rt
 }
@@ -44,7 +42,7 @@ func cpuTime() time.Duration {
 // movement visible in SpawnedWorkers/RetiredWorkers — and then idles
 // at ~0 CPU.
 func TestElasticRuntimeQuiescesToFloor(t *testing.T) {
-	rt := elasticRT(t, 1, 8, 5*time.Millisecond)
+	rt := elasticRT(t, 1, 8)
 
 	// A storm of concurrent computations (injected roots) is the spawn
 	// signal; 16 lanes over an 8-worker ceiling keeps the backlog
@@ -91,7 +89,7 @@ func TestElasticRuntimeQuiescesToFloor(t *testing.T) {
 // measurement, not an invariant; `ppopp17bench -fig burst` reports it.
 func TestElasticBurstSpawnsCompletesAndQuiesces(t *testing.T) {
 	const max = 4
-	rt := elasticRT(t, 1, max, 25*time.Millisecond)
+	rt := elasticRT(t, 1, max)
 	before := rt.Stats()
 	res := workload.Burst(rt.Nested(), workload.BurstConfig{
 		Leaves: 1024, Storms: 4, Lanes: 2 * max, Gap: 2 * time.Millisecond,
@@ -111,74 +109,6 @@ func TestElasticBurstSpawnsCompletesAndQuiesces(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("runtime did not quiesce to the floor: %+v", st)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestElasticChurnPublic cycles burst → idle → burst through the
-// public API with the retirement threshold inside the idle gaps, so
-// every round shrinks the pool the next round regrows. The shadow
-// live-count (executed leaf tasks per round) catches lost vertices;
-// the watchdog catches lost wake-ups; the final poll asserts the pool
-// lands back on its floor with balanced spawn/retire accounting.
-func TestElasticChurnPublic(t *testing.T) {
-	rounds := 30
-	if testing.Short() {
-		rounds = 8
-	}
-	const (
-		lanes  = 4
-		leaves = 256
-	)
-	rt := elasticRT(t, 1, 4, time.Millisecond)
-
-	errc := make(chan error, 1)
-	go func() {
-		for round := 0; round < rounds; round++ {
-			var executed atomic.Int64
-			var wg sync.WaitGroup
-			for lane := 0; lane < lanes; lane++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					err := rt.Run(func(c *repro.Ctx) {
-						c.ParallelFor(0, leaves, 1, func(int) { executed.Add(1) })
-					})
-					if err != nil {
-						select {
-						case errc <- fmt.Errorf("round %d: %v", round, err):
-						default:
-						}
-					}
-				}()
-			}
-			wg.Wait()
-			if got := executed.Load(); got != lanes*leaves {
-				errc <- fmt.Errorf("round %d: %d leaf tasks ran, want %d (lost vertices)", round, got, lanes*leaves)
-				return
-			}
-			time.Sleep(3 * time.Millisecond) // outlast the retirement threshold
-		}
-		errc <- nil
-	}()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Minute):
-		t.Fatalf("hang during retire/respawn churn: %+v", rt.Stats())
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st := rt.Stats()
-		if st.Workers == 1 && st.RetiredWorkers == st.SpawnedWorkers {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool did not return to the floor after churn: %+v", st)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -208,7 +138,7 @@ func TestFixedPoolReportsNoMovement(t *testing.T) {
 		}
 	}
 	st := rt.Stats()
-	if st.Workers != 2 || st.SpawnedWorkers != 0 || st.RetiredWorkers != 0 {
-		t.Fatalf("fixed pool moved: %+v", st)
+	if st.Workers != 2 || rt.Workers() != 2 || st.SpawnedWorkers != 0 || st.RetiredWorkers != 0 {
+		t.Fatalf("fixed pool moved: Workers() = %d, %+v", rt.Workers(), st)
 	}
 }

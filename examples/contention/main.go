@@ -71,7 +71,7 @@ func main() {
 	fmt.Println("\nfetchadd grows linearly in P; dyn stays constant (Theorem 4.9).")
 
 	// Live demo: one finish counter through both contention regimes.
-	if _, err := repro.ParseAlgorithm(*algo, 1); err != nil {
+	if err := repro.CheckCounterSpec(*algo); err != nil {
 		fmt.Fprintln(os.Stderr, "contention:", err)
 		os.Exit(2)
 	}

@@ -23,19 +23,13 @@ func main() {
 		n       = flag.Uint64("n", 1<<20, "number of leaf tasks")
 		algo    = flag.String("algo", "dyn", "dependency counter: fetchadd | dyn | snzi-D")
 		workers = flag.Int("procs", 0, "workers (0 = GOMAXPROCS)")
-		thresh  = flag.Uint64("threshold", 0, "grow threshold for dyn (0 = 25·procs)")
 	)
 	flag.Parse()
 
-	threshold := *thresh
-	if threshold == 0 {
-		threshold = repro.DefaultThreshold(*workers)
-	}
-	alg, err := repro.ParseAlgorithm(*algo, threshold)
-	if err != nil {
+	if err := repro.CheckCounterSpec(*algo); err != nil {
 		log.Fatal(err)
 	}
-	rt := repro.NewRuntime(repro.WithWorkers(*workers), repro.WithAlgorithm(alg))
+	rt := repro.NewRuntime(repro.WithWorkers(*workers), repro.WithCounter(*algo))
 	defer rt.Close()
 
 	res := workload.Fanin(rt.Nested(), *n)

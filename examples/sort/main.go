@@ -88,11 +88,10 @@ func main() {
 	)
 	flag.Parse()
 
-	alg, err := repro.ParseAlgorithm(*algo, repro.DefaultThreshold(*workers))
-	if err != nil {
+	if err := repro.CheckCounterSpec(*algo); err != nil {
 		log.Fatal(err)
 	}
-	rt := repro.NewRuntime(repro.WithWorkers(*workers), repro.WithAlgorithm(alg))
+	rt := repro.NewRuntime(repro.WithWorkers(*workers), repro.WithCounter(*algo))
 	defer rt.Close()
 
 	xs := make([]int32, *n)

@@ -140,3 +140,18 @@ func TestKindStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestDiagnosticStrings pins the forms a failing scenario prints: a
+// trace event, the injector's seed, and the injected panic value.
+func TestDiagnosticStrings(t *testing.T) {
+	if got := (Event{Kind: StallWorker, Ordinal: 97}).String(); got != "stall-worker@97" {
+		t.Fatalf("Event.String = %q", got)
+	}
+	if got := NewInjector(1234).Seed(); got != 1234 {
+		t.Fatalf("Seed = %d, want 1234", got)
+	}
+	var err error = InjectedPanic{Ordinal: 5}
+	if got := err.Error(); got != "chaos: injected task panic at body ordinal 5" {
+		t.Fatalf("InjectedPanic.Error = %q", got)
+	}
+}

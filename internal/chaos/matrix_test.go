@@ -30,6 +30,7 @@ import (
 	"repro"
 	"repro/internal/chaos"
 	"repro/internal/gateway"
+	"repro/internal/nested"
 )
 
 // slowCtx is a deadline context cleaned up with the test.
@@ -59,15 +60,19 @@ func fanout(n int) repro.Task {
 	}
 }
 
+// pool is one runtime shape of the matrix. The runtimes are built with
+// nested.New directly: the elastic shape needs a retirement threshold
+// short enough for workers to retire inside one scenario, which the
+// public options deliberately do not expose.
 type pool struct {
 	name string
-	cfg  repro.Config
+	cfg  nested.Config
 }
 
 func pools() []pool {
 	return []pool{
-		{"fixed", repro.Config{Workers: 4, Seed: 42, Watchdog: 25 * time.Millisecond}},
-		{"elastic", repro.Config{Workers: 2, MaxWorkers: 4, Seed: 42,
+		{"fixed", nested.Config{Workers: 4, Seed: 42, Watchdog: 25 * time.Millisecond}},
+		{"elastic", nested.Config{Workers: 2, MaxWorkers: 4, Seed: 42,
 			RetireAfter: 5 * time.Millisecond, Watchdog: 25 * time.Millisecond}},
 	}
 }
@@ -100,7 +105,7 @@ func runScenario(t *testing.T, kind chaos.Kind, po pool) []chaos.Event {
 	chaos.Install(inj)
 	defer chaos.Uninstall()
 
-	rt := repro.New(po.cfg)
+	rt := nested.New(po.cfg)
 	err := rt.Run(fanout(512))
 
 	switch kind {
@@ -130,9 +135,7 @@ func runScenario(t *testing.T, kind chaos.Kind, po pool) []chaos.Event {
 	if err := rt.Run(fanout(256)); err != nil {
 		t.Fatalf("post-fault clean Run failed: %v", err)
 	}
-	if err := rt.Close(); err != nil {
-		t.Fatalf("post-fault Close failed: %v", err)
-	}
+	rt.Close()
 	leakCheck(t, fmt.Sprintf("%v/%s", kind, po.name), base)
 	return inj.Trace()
 }

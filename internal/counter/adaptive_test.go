@@ -93,6 +93,23 @@ func TestParseAdaptiveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAdaptiveString: the log form names the contention threshold
+// (or "eager"), the grow threshold, and the batch size when batching.
+func TestAdaptiveString(t *testing.T) {
+	for spec, want := range map[string]string{
+		"adaptive:50":   "adaptive(contention=50,threshold=100)",
+		"adaptive:0:16": "adaptive(contention=eager,threshold=100,batch=16)",
+	} {
+		alg, err := Parse(spec, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := alg.(Adaptive).String(); got != want {
+			t.Errorf("Parse(%q).String() = %q, want %q", spec, got, want)
+		}
+	}
+}
+
 func TestAdaptiveUncontendedStaysCell(t *testing.T) {
 	// A purely sequential execution never fails a CAS, so the counter
 	// must live and die as a single cell: no promotion, one node,

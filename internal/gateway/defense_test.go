@@ -109,7 +109,8 @@ func TestReapDisabled(t *testing.T) {
 func TestWatchdogNoFalsePositiveThroughGateway(t *testing.T) {
 	g := newTestGateway(t, Config{
 		Registry: wedgeRegistry(t),
-		Watchdog: 15 * time.Millisecond,
+		RuntimeOptions: []repro.Option{repro.WithWorkers(2), repro.WithSeed(42),
+			repro.WithWatchdog(15 * time.Millisecond)},
 	})
 	// 300ms single body = 20 threshold windows with no vertex finishing.
 	if _, err := g.Submit(context.Background(), "t", "wedge", 300); err != nil {

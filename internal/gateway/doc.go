@@ -24,7 +24,7 @@
 // Observability is part of the subsystem: per-tenant and per-template
 // latency histograms (internal/stats.LatencyHist — lock-free
 // per-dispatcher shards merged at snapshot) and shed/admission
-// counters are exposed on GET /stats as one JSON document alongside
+// counters are exposed on GET /v1/stats as one JSON document alongside
 // the runtime's own repro.Stats (promotions, steal split,
 // spawned/retired workers, injector depth, pegged duration), so a
 // harness scrapes one endpoint for a server-side artifact.

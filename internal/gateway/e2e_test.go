@@ -52,17 +52,17 @@ func waitServe(t *testing.T, cancel context.CancelFunc, served chan error) {
 	}
 }
 
-// fetchStats GETs and decodes the server-side /stats document.
+// fetchStats GETs and decodes the server-side /v1/stats document.
 func fetchStats(t *testing.T, url string) Snapshot {
 	t.Helper()
-	resp, err := http.Get(url + "/stats")
+	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
+		t.Fatalf("GET /v1/stats: %v", err)
 	}
 	defer resp.Body.Close()
 	var s Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		t.Fatalf("decode /stats: %v", err)
+		t.Fatalf("decode /v1/stats: %v", err)
 	}
 	return s
 }
@@ -201,7 +201,7 @@ func TestE2EGracefulDrain(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			resp, err := client.Post(
-				fmt.Sprintf("%s/run/spin?tenant=t%d&n=50000&timeout=30s", url, i), "", nil)
+				fmt.Sprintf("%s/v1/runs/spin?tenant=t%d&n=50000&timeout=30s", url, i), "", nil)
 			if err != nil {
 				codes <- -1
 				return
@@ -241,7 +241,7 @@ func TestE2EGracefulDrain(t *testing.T) {
 	}
 
 	// The listener is gone: a new request must be refused, not served.
-	if resp, err := client.Get(url + "/healthz"); err == nil {
+	if resp, err := client.Get(url + "/v1/healthz"); err == nil {
 		resp.Body.Close()
 		t.Fatalf("post-drain request served with %d, want connection refused", resp.StatusCode)
 	} else if !strings.Contains(err.Error(), "refused") && !strings.Contains(err.Error(), "reset") {

@@ -20,11 +20,9 @@ import (
 // owns an all-defaults Runtime, serves the Builtins templates, and
 // applies the defaults documented on each field.
 type Config struct {
-	// Runtime is the runtime requests execute on. nil means the
-	// gateway constructs one from RuntimeOptions and owns it (Close
-	// closes it); a caller-supplied runtime is never closed by the
-	// gateway.
-	Runtime        *repro.Runtime
+	// RuntimeOptions configure the Runtime the gateway builds, owns and
+	// closes. A scheduler stall watchdog armed here
+	// (repro.WithWatchdog) trips the gateway's degraded mode.
 	RuntimeOptions []repro.Option
 
 	// Registry is the template table; nil means Builtins().
@@ -87,21 +85,13 @@ type Config struct {
 	// been healthy for one full hold-down. Default 2s.
 	DegradedHoldDown time.Duration
 
-	// Watchdog, when > 0 and the gateway owns its runtime (Runtime ==
-	// nil), arms the runtime's scheduler stall watchdog with this
-	// threshold and wires detections into degraded mode. With a
-	// caller-supplied Runtime the field is ignored — arm the watchdog
-	// yourself (repro.WithWatchdog) and the gateway still installs the
-	// OnStall hook (replacing any previously installed one).
-	Watchdog time.Duration
-
 	// Sink receives one RunRecord per settled request — sync and async
 	// alike: completion, failure, cancellation, or a reap. nil means a
 	// default coalescing sink over a 4096-record in-memory ring, so
 	// GET /v1/runs/{id} works out of the box with bounded memory. The
 	// gateway owns whichever sink ends up here: Close flushes and
 	// closes it after the dispatchers have exited (every settled
-	// request's record published) and before an owned runtime closes —
+	// request's record published) and before the runtime closes —
 	// the drain ordering the async API's no-lost-records guarantee
 	// rests on.
 	Sink *sink.Sink
@@ -215,10 +205,9 @@ type dispatched struct {
 // graceful drain. Create with New, serve via Handler (or Submit
 // directly), stop with Close.
 type Gateway struct {
-	cfg   Config
-	rt    *repro.Runtime
-	ownRT bool
-	reg   *Registry
+	cfg Config
+	rt  *repro.Runtime
+	reg *Registry
 
 	tenantBurst float64
 
@@ -307,10 +296,6 @@ func New(cfg Config) *Gateway {
 	if cfg.Sink == nil {
 		cfg.Sink = sink.New(sink.NewRing(0))
 	}
-	if cfg.Runtime == nil && cfg.Watchdog > 0 {
-		cfg.RuntimeOptions = append(cfg.RuntimeOptions[:len(cfg.RuntimeOptions):len(cfg.RuntimeOptions)],
-			repro.WithWatchdog(cfg.Watchdog))
-	}
 	burst := float64(cfg.TenantBurst)
 	if burst < 1 {
 		burst = cfg.TenantRate
@@ -320,7 +305,7 @@ func New(cfg Config) *Gateway {
 	}
 	g := &Gateway{
 		cfg:         cfg,
-		rt:          cfg.Runtime,
+		rt:          repro.NewRuntime(cfg.RuntimeOptions...),
 		reg:         cfg.Registry,
 		tenantBurst: burst,
 		tenants:     make(map[string]*tenant),
@@ -333,10 +318,6 @@ func New(cfg Config) *Gateway {
 		runNonce:    rng.AutoSeed(),
 	}
 	g.jrng.Seed(rng.Mix64(cfg.JitterSeed))
-	if g.rt == nil {
-		g.rt = repro.NewRuntime(cfg.RuntimeOptions...)
-		g.ownRT = true
-	}
 	// Wire runtime self-defense into admission: a watchdog-detected
 	// scheduler stall trips degraded mode. Installing the hook on a
 	// runtime whose watchdog is not armed is inert.
@@ -794,13 +775,13 @@ func (g *Gateway) Draining() bool {
 // Close drains and stops the gateway: admission closes (ErrDraining),
 // every already-admitted request runs to completion, the dispatchers
 // exit, the sink flushes and closes — every settled request's record
-// durable before anything else is torn down — and finally, when the
-// gateway owns its runtime, the runtime's own Close drains and stops
-// the workers. The ordering is the async API's no-lost-records
-// guarantee: the dispatchers' wg.Wait happens-before the sink flush,
-// so a record published by any dispatcher is flushed by Close, and
-// the sink closes before the runtime so a crash-free shutdown never
-// leaves a completed run unpersisted. Close is idempotent and safe
+// durable before anything else is torn down — and finally the
+// runtime's own Close drains and stops the workers. The ordering is
+// the async API's no-lost-records guarantee: the dispatchers' wg.Wait
+// happens-before the sink flush, so a record published by any
+// dispatcher is flushed by Close, and the sink closes before the
+// runtime so a crash-free shutdown never leaves a completed run
+// unpersisted. Close is idempotent and safe
 // concurrently; every call returns only after shutdown completes. It
 // always returns nil (io.Closer).
 func (g *Gateway) Close() error {
@@ -820,9 +801,7 @@ func (g *Gateway) Close() error {
 		}
 		g.wg.Wait()
 		_ = g.sink.Close() // final flush; write failures are visible as Stats().Sink.Dropped
-		if g.ownRT {
-			g.rt.Close()
-		}
+		g.rt.Close()
 		close(g.closedCh)
 	})
 	<-g.closedCh

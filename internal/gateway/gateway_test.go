@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -18,7 +19,7 @@ import (
 // the caller overrides on top.
 func newTestGateway(t *testing.T, cfg Config) *Gateway {
 	t.Helper()
-	if cfg.Runtime == nil && cfg.RuntimeOptions == nil {
+	if cfg.RuntimeOptions == nil {
 		cfg.RuntimeOptions = []repro.Option{repro.WithWorkers(2), repro.WithSeed(42)}
 	}
 	g := New(cfg)
@@ -205,6 +206,15 @@ func TestDrainingRefusesAndCloseCompletes(t *testing.T) {
 		_, err := g.Submit(context.Background(), "t", "block", 0)
 		done <- err
 	}()
+	healthz := func() int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/healthz")
+		if err != nil {
+			t.Fatalf("GET /v1/healthz: %v", err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
 	// Wait for the request to be in flight, then drain.
 	deadline := time.Now().Add(5 * time.Second)
 	for g.Stats().Running == 0 {
@@ -213,12 +223,21 @@ func TestDrainingRefusesAndCloseCompletes(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if g.Draining() || healthz() != http.StatusOK {
+		t.Fatal("serving gateway reports draining or unhealthy")
+	}
 	g.BeginDrain()
+	if !g.Draining() {
+		t.Fatal("Draining() false after BeginDrain")
+	}
+	if code := healthz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz while draining = %d, want 503", code)
+	}
 
 	if _, err := g.Submit(context.Background(), "t", "block", 0); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining = %v, want ErrDraining", err)
 	}
-	resp, err := http.Post(srv.URL+"/run/block", "", nil)
+	resp, err := http.Post(srv.URL+"/v1/runs/block", "", nil)
 	if err != nil {
 		t.Fatalf("POST while draining: %v", err)
 	}
@@ -262,19 +281,19 @@ func TestHTTPStatusMapping(t *testing.T) {
 		resp.Body.Close()
 		return resp
 	}
-	if resp := post("/run/fib?tenant=a&n=10"); resp.StatusCode != http.StatusOK {
+	if resp := post("/v1/runs/fib?tenant=a&n=10"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ok run status = %d", resp.StatusCode)
 	}
-	if resp := post("/run/fib?tenant=b&n=zero"); resp.StatusCode != http.StatusBadRequest {
+	if resp := post("/v1/runs/fib?tenant=b&n=zero"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad n status = %d", resp.StatusCode)
 	}
-	if resp := post("/run/fib?tenant=b&n=9999"); resp.StatusCode != http.StatusBadRequest {
+	if resp := post("/v1/runs/fib?tenant=b&n=9999"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized n status = %d", resp.StatusCode)
 	}
-	if resp := post("/run/nothere?tenant=b"); resp.StatusCode != http.StatusNotFound {
+	if resp := post("/v1/runs/nothere?tenant=b"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown template status = %d", resp.StatusCode)
 	}
-	resp := post("/run/fib?tenant=a&n=10") // second within a 1-burst bucket
+	resp := post("/v1/runs/fib?tenant=a&n=10") // second within a 1-burst bucket
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("throttled status = %d, want 429", resp.StatusCode)
 	}
@@ -282,12 +301,55 @@ func TestHTTPStatusMapping(t *testing.T) {
 		t.Fatalf("429 Retry-After = %q, want integer >= 1", resp.Header.Get("Retry-After"))
 	}
 	// Deadline: spin for 50ms with a 1ms budget.
-	resp = post("/run/spin?tenant=c&n=50000&timeout=1ms")
+	resp = post("/v1/runs/spin?tenant=c&n=50000&timeout=1ms")
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline status = %d, want 504", resp.StatusCode)
 	}
-	if resp := post("/run/fib?tenant=c&timeout=bogus"); resp.StatusCode != http.StatusBadRequest {
+	if resp := post("/v1/runs/fib?tenant=c&timeout=bogus"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad timeout status = %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPTemplates: GET /v1/templates lists the registry in name
+// order with each template's size bounds.
+func TestHTTPTemplates(t *testing.T) {
+	g := newTestGateway(t, Config{})
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/templates")
+	if err != nil {
+		t.Fatalf("GET /v1/templates: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	var got []struct {
+		Name     string `json:"name"`
+		DefaultN uint64 `json:"default_n"`
+		MaxN     uint64 `json:"max_n"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	names := g.Registry().Names()
+	if len(got) != len(names) {
+		t.Fatalf("listed %d templates, registry holds %d", len(got), len(names))
+	}
+	for i, tpl := range got {
+		want, _ := g.Registry().Get(names[i])
+		if tpl.Name != want.Name || tpl.DefaultN != want.DefaultN || tpl.MaxN != want.MaxN {
+			t.Fatalf("template %d = %+v, want %s (default %d, max %d)", i, tpl, want.Name, want.DefaultN, want.MaxN)
+		}
+	}
+}
+
+// TestRuntimeAccessor: Runtime exposes the runtime the gateway built
+// from RuntimeOptions.
+func TestRuntimeAccessor(t *testing.T) {
+	g := newTestGateway(t, Config{})
+	if w := g.Runtime().Workers(); w != 2 {
+		t.Fatalf("gateway runtime has %d workers, want the 2 its options asked for", w)
 	}
 }
 

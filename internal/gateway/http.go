@@ -14,8 +14,7 @@ import (
 	"repro/internal/stats"
 )
 
-// The HTTP surface (v1; the unversioned paths of the pre-sink
-// releases remain as aliases for one release):
+// The HTTP surface (every route is under /v1):
 //
 //	POST   /v1/runs/{template}?tenant=T&n=N&timeout=D   run a computation (sync)
 //	POST   /v1/runs/{template}?mode=async&...           202 {"run_id"} immediately after admission
@@ -52,7 +51,7 @@ type RunStatusResponse struct {
 	Status string `json:"status"` // "pending" | "canceling"
 }
 
-// TenantSnapshot is one tenant's /stats entry.
+// TenantSnapshot is one tenant's /v1/stats entry.
 type TenantSnapshot struct {
 	Admitted  uint64               `json:"admitted"`
 	Completed uint64               `json:"completed"`
@@ -151,9 +150,7 @@ func (g *Gateway) Stats() Snapshot {
 	return s
 }
 
-// Handler returns the gateway's HTTP handler (routes above). The
-// unversioned paths are deprecated aliases of their /v1 twins, kept
-// for one release so pre-v1 clients keep working.
+// Handler returns the gateway's HTTP handler (routes above).
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs/{template}", g.handleRun)
@@ -162,11 +159,6 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", g.handleStats)
 	mux.HandleFunc("GET /v1/templates", g.handleTemplates)
 	mux.HandleFunc("GET /v1/healthz", g.handleHealthz)
-	// Legacy unversioned aliases (one release).
-	mux.HandleFunc("POST /run/{template}", g.handleRun)
-	mux.HandleFunc("GET /stats", g.handleStats)
-	mux.HandleFunc("GET /templates", g.handleTemplates)
-	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	return mux
 }
 
@@ -335,9 +327,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // signal.NotifyContext), then drains in order — admission closes
 // (503), the HTTP server shuts down gracefully (in-flight handlers
 // finish, which means their queued requests complete through the
-// runtime), and finally Gateway.Close stops dispatchers and, for an
-// owned runtime, workers. No admitted request is abandoned and no
-// goroutine outlives Serve.
+// runtime), and finally Gateway.Close stops dispatchers and workers.
+// No admitted request is abandoned and no goroutine outlives Serve.
 type Server struct {
 	G *Gateway
 

@@ -50,7 +50,7 @@ func (b *bucket) take(now time.Time) (ok bool, retryAfter time.Duration) {
 
 // tenant is the gateway's per-tenant state: quota bucket, FIFO of
 // admitted-but-undispatched requests, round-robin credit, counters,
-// and the latency histogram behind /stats. All fields except hist's
+// and the latency histogram behind /v1/stats. All fields except hist's
 // interior are guarded by the gateway mutex.
 type tenant struct {
 	name   string

@@ -9,7 +9,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/stallsim"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // Options tunes the per-figure experiment drivers. The zero value
@@ -76,7 +75,6 @@ func Figures() map[string]func(Options) (*Report, error) {
 		"11":        Fig11,
 		"12":        Fig12,
 		"13":        Fig13,
-		"13-proxy":  Fig13Proxy,
 		"14":        Fig14,
 		"15":        Fig15,
 		"phase":     PhaseShift,
@@ -93,7 +91,7 @@ func Figures() map[string]func(Options) (*Report, error) {
 
 // FigureOrder lists the drivers in presentation order.
 func FigureOrder() []string {
-	return []string{"8", "9", "10", "11", "12", "13", "13-proxy", "14", "15", "phase", "burst", "serve", "sink", "chaos", "sim", "zipf", "stalls", "ablations"}
+	return []string{"8", "9", "10", "11", "12", "13", "14", "15", "phase", "burst", "serve", "sink", "chaos", "sim", "zipf", "stalls", "ablations"}
 }
 
 // runSeries measures one spec per procs value and adds a table row per
@@ -338,9 +336,7 @@ func Fig12(o Options) (*Report, error) {
 // steal-locality table shows the mechanism: under multi-node
 // topologies most steals resolve in the local phase. The paper's
 // measured claim survives as a null result on the algorithm axis: the
-// topology must not change the counter-algorithm ordering. (The old
-// simulated-penalty study lives on as Fig13Proxy / figure id
-// "13-proxy".)
+// topology must not change the counter-algorithm ordering.
 func Fig13(o Options) (*Report, error) {
 	o = o.fill()
 	rep := &Report{Figure: "Figure 13", Title: "NUMA topology study (real scheduler, flat vs synthetic nodes)"}
@@ -398,36 +394,6 @@ func localShare(local, remote uint64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.0f%%", 100*float64(local)/float64(local+remote))
-}
-
-// Fig13Proxy is the pre-topology NUMA study: the simulated
-// placement-penalty proxy documented in internal/workload (numa.go).
-// It is kept alongside the real-scheduler Fig13 for hosts and
-// comparisons where only the timing shape is wanted; the algorithm
-// ordering must be insensitive to the policy (a null result).
-func Fig13Proxy(o Options) (*Report, error) {
-	o = o.fill()
-	rep := &Report{Figure: "Figure 13 (proxy)", Title: "NUMA policy study (simulated placement penalty)"}
-	n := o.n(defaultN)
-	tbl := stats.NewTable(fmt.Sprintf("fanin-numa-proxy n=%d p=%d: ops/sec/core", n, o.MaxProcs),
-		"algo", "numa=off", "numa=round-robin", "numa=first-touch")
-	for _, algo := range []string{"fetchadd", "snzi-4", "dyn"} {
-		row := []interface{}{algo}
-		for numa := 0; numa <= 2; numa++ {
-			o.progress("fig13-proxy %s numa=%d", algo, numa)
-			m, err := Run(Spec{Bench: "fanin-numa-proxy", Algo: algo, Procs: o.MaxProcs, N: n,
-				Numa: workload.NumaPolicy(numa), Runs: o.Runs, Seed: 1})
-			if err != nil {
-				return nil, err
-			}
-			rep.Measurements = append(rep.Measurements, m)
-			row = append(row, m.OpsPerSecPerCore)
-		}
-		tbl.AddRow(row...)
-	}
-	rep.Tables = append(rep.Tables, tbl)
-	rep.Notes = append(rep.Notes, "expected: a null result — the placement policy does not change the algorithm ordering")
-	return rep, nil
 }
 
 // Fig14 reproduces the granularity study (appendix C.3, Figure 14):

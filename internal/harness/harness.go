@@ -22,7 +22,7 @@ import (
 
 // Spec is one measurement point.
 type Spec struct {
-	Bench string // fanin | indegree2 | fanin-work | fanin-numa | fanin-numa-proxy | phase-shift | zipf | burst | snzi-stress
+	Bench string // fanin | indegree2 | fanin-work | fanin-numa | phase-shift | zipf | burst | snzi-stress
 	Algo  string // fetchadd | dyn | adaptive[:K[:batch]] | snzi-D (counter.Parse syntax)
 	Procs int
 	// MaxWorkers, when > Procs, runs the benchmark on an elastic pool
@@ -32,14 +32,13 @@ type Spec struct {
 	// Nodes runs the benchmark on a synthetic topology of that many
 	// locality nodes (workers spread evenly; 0/1 = the flat topology).
 	// Used by the fanin-numa figure: it measures the real scheduler's
-	// topology-aware stealing, not a timing proxy.
+	// topology-aware stealing.
 	Nodes     int
 	N         uint64
-	Threshold uint64              // dyn grow denominator; 0 → 25·max(Procs, MaxWorkers) (paper default)
-	WorkNs    int                 // dummy work per leaf (fanin-work)
-	Numa      workload.NumaPolicy // placement proxy (fanin-numa-proxy)
-	Variant   uint8               // in-counter ablation variant bits
-	Runs      int                 // measured repetitions (≥1)
+	Threshold uint64 // dyn grow denominator; 0 → 25·max(Procs, MaxWorkers) (paper default)
+	WorkNs    int    // dummy work per leaf (fanin-work)
+	Variant   uint8  // in-counter ablation variant bits
+	Runs      int    // measured repetitions (≥1)
 	Seed      uint64
 }
 
@@ -248,9 +247,6 @@ func (m Measurement) Block() *report.Block {
 	if m.Spec.WorkNs > 0 {
 		b.In("workload", m.Spec.WorkNs)
 	}
-	if m.Spec.Numa != workload.NumaOff {
-		b.In("numa", m.Spec.Numa.String())
-	}
 	if m.Spec.Nodes > 1 {
 		b.In("nodes", m.Spec.Nodes)
 	}
@@ -356,8 +352,6 @@ func Run(spec Spec) (Measurement, error) {
 			return workload.Fanin(rt, spec.N)
 		case "fanin-work":
 			return workload.FaninWork(rt, spec.N, spec.WorkNs)
-		case "fanin-numa-proxy":
-			return workload.FaninNUMA(rt, spec.N, spec.Numa)
 		case "indegree2":
 			return workload.Indegree2(rt, spec.N)
 		case "phase-shift":
@@ -378,7 +372,7 @@ func Run(spec Spec) (Measurement, error) {
 		}
 	}
 	switch spec.Bench {
-	case "fanin", "fanin-work", "fanin-numa", "fanin-numa-proxy", "indegree2", "phase-shift", "zipf", "burst":
+	case "fanin", "fanin-work", "fanin-numa", "indegree2", "phase-shift", "zipf", "burst":
 	default:
 		return Measurement{}, fmt.Errorf("harness: unknown bench %q", spec.Bench)
 	}

@@ -32,7 +32,7 @@ func TestRunFaninSpec(t *testing.T) {
 }
 
 func TestRunAllBenches(t *testing.T) {
-	for _, bench := range []string{"fanin", "indegree2", "fanin-work", "fanin-numa", "fanin-numa-proxy", "phase-shift"} {
+	for _, bench := range []string{"fanin", "indegree2", "fanin-work", "fanin-numa", "phase-shift"} {
 		m, err := Run(Spec{Bench: bench, Algo: "fetchadd", Procs: 1, N: 1024, WorkNs: 5, Runs: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)

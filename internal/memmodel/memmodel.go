@@ -227,9 +227,6 @@ func (s *Sim) Spawn(body func(*Env)) {
 	s.threads = append(s.threads, t)
 }
 
-// Threads returns the number of registered threads.
-func (s *Sim) Threads() int { return len(s.threads) }
-
 // TotalSteps returns the number of primitive steps executed.
 func (s *Sim) TotalSteps() uint64 { return s.steps }
 

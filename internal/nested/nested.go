@@ -74,11 +74,9 @@ var ErrClosed = errors.New("nested: runtime is closed")
 // Runtime owns a scheduler and a dag configuration; it is a long-lived
 // service executing many computations, sequentially or concurrently.
 type Runtime struct {
-	sched  *sched.Scheduler
-	dag    *spdag.Dag
-	shared bool // scheduler provided by caller: do not shut down
-	hook   func(RunInfo)
-	seq    runSeq
+	sched *sched.Scheduler
+	dag   *spdag.Dag
+	seq   runSeq
 
 	mu        sync.Mutex
 	closed    bool
@@ -130,14 +128,6 @@ type Config struct {
 	// auto-detects the host (flat on non-NUMA machines); use
 	// topology.Synthetic to test multi-node behavior anywhere.
 	Topology topology.Topology
-	// RunHook, when non-nil, observes every completed Run/RunContext:
-	// it is called once per run with that run's RunInfo, on the Run
-	// caller's goroutine, after the computation has quiesced and before
-	// the Run call returns — so a hook that publishes the record
-	// happens-before anything the caller does with the result. Keep it
-	// brief; it is on every run's completion path. Runs refused with
-	// ErrClosed never fire it.
-	RunHook func(RunInfo)
 	// Watchdog, when > 0, arms the scheduler's stall watchdog with this
 	// no-progress threshold: if a computation is in flight but no vertex
 	// has executed for the window — and no worker is inside a task body
@@ -201,7 +191,7 @@ func New(cfg Config) *Runtime {
 	if cfg.Recorder != nil {
 		dopts = append(dopts, spdag.WithRecorder(cfg.Recorder))
 	}
-	r := &Runtime{sched: s, dag: spdag.New(alg, dopts...), hook: cfg.RunHook}
+	r := &Runtime{sched: s, dag: spdag.New(alg, dopts...)}
 	s.Start()
 	return r
 }
@@ -217,11 +207,7 @@ func (r *Runtime) Close() {
 	r.closed = true
 	r.mu.Unlock()
 	r.runs.Wait()
-	r.closeOnce.Do(func() {
-		if !r.shared {
-			r.sched.Shutdown()
-		}
-	})
+	r.closeOnce.Do(r.sched.Shutdown)
 }
 
 // Scheduler exposes the underlying scheduler (for stats).
@@ -243,9 +229,6 @@ func (r *Runtime) Workers() int { return r.sched.NumWorkers() }
 // one Runtime; each computation has its own root finish counter, so
 // they do not interfere.
 func (r *Runtime) Run(f Task) error {
-	if r.hook != nil {
-		return r.observedRun(context.Background(), f).Err
-	}
 	_, err := r.run(context.Background(), f)
 	return err
 }
@@ -256,9 +239,6 @@ func (r *Runtime) Run(f Task) error {
 // — and RunContext returns once the dag has quiesced, with ctx's
 // error. An already-cancelled ctx runs nothing.
 func (r *Runtime) RunContext(ctx context.Context, f Task) error {
-	if r.hook != nil {
-		return r.observedRun(ctx, f).Err
-	}
 	_, err := r.run(ctx, f)
 	return err
 }
@@ -417,10 +397,6 @@ func runTask(f Task, c *Ctx) {
 	chaosTask() // fault seam: no-op unless built with -tags chaostest
 	f(c)
 }
-
-// Vertex returns the current continuation vertex (diagnostics), or
-// nil once the task has ended.
-func (c *Ctx) Vertex() *spdag.Vertex { return c.v }
 
 // Computation returns the stable record of the task's computation —
 // unlike the Ctx and its vertices, the record is never recycled, so it

@@ -11,11 +11,10 @@ import (
 // approximate slice of the runtime's work counters — the raw material
 // a persistence layer (internal/sink, via the gateway) turns into a
 // RunRecord. It deliberately costs nothing when unused: the fast path
-// in run() is untouched unless a RunHook is installed or the caller
-// asked for the info explicitly.
+// in run() is untouched unless the caller asks for the info through
+// RunContextInfo.
 
-// RunInfo describes one completed Run for observers (Config.RunHook,
-// RunContextInfo): its runtime-assigned id (unique within the
+// RunInfo describes one completed Run (see RunContextInfo): its runtime-assigned id (unique within the
 // Runtime, monotonically increasing), wall-clock span, outcome, and
 // work counters.
 //
@@ -45,14 +44,6 @@ func (s *runSeq) next() uint64 { return s.n.Add(1) }
 // RunInfo. The error return equals info.Err; it is repeated so the
 // call composes like every other Run variant.
 func (r *Runtime) RunContextInfo(ctx context.Context, f Task) (RunInfo, error) {
-	info := r.observedRun(ctx, f)
-	return info, info.Err
-}
-
-// observedRun wraps run with the before/after counter snapshots and
-// fires the hook. ErrClosed is reported in info but does not fire the
-// hook — nothing ran, there is nothing to observe.
-func (r *Runtime) observedRun(ctx context.Context, f Task) RunInfo {
 	info := RunInfo{ID: r.seq.next(), Start: time.Now()}
 	st0 := r.sched.Stats()
 	v0 := r.dag.VertexCount()
@@ -63,8 +54,5 @@ func (r *Runtime) observedRun(ctx context.Context, f Task) RunInfo {
 	info.Vertices = r.dag.VertexCount() - v0
 	info.Executed = st1.Executed - st0.Executed
 	info.Steals = st1.Steals - st0.Steals
-	if r.hook != nil && err != ErrClosed {
-		r.hook(info)
-	}
-	return info
+	return info, err
 }

@@ -2,7 +2,6 @@ package nested
 
 import (
 	"context"
-	"errors"
 	"testing"
 )
 
@@ -29,32 +28,5 @@ func TestRunContextInfo(t *testing.T) {
 		if info.Vertices <= 0 || info.Executed == 0 {
 			t.Fatalf("no work attributed: vertices=%d executed=%d", info.Vertices, info.Executed)
 		}
-	}
-}
-
-// TestRunHook: the hook observes every Run variant's outcome, and a
-// closed runtime never fires it.
-func TestRunHook(t *testing.T) {
-	var got []RunInfo
-	boom := errors.New("boom")
-	r := New(Config{Workers: 2, RunHook: func(i RunInfo) { got = append(got, i) }})
-	if err := r.Run(func(c *Ctx) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.RunContext(context.Background(), func(c *Ctx) { c.Fail(boom) }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("hook fired %d times, want 2", len(got))
-	}
-	if got[0].Err != nil || !errors.Is(got[1].Err, boom) {
-		t.Fatalf("hook outcomes wrong: %v, %v", got[0].Err, got[1].Err)
-	}
-	r.Close()
-	if err := r.Run(func(c *Ctx) {}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-	if len(got) != 2 {
-		t.Fatal("hook fired for a run ErrClosed refused")
 	}
 }

@@ -624,10 +624,6 @@ func (s *Scheduler) Run(d *spdag.Dag, body spdag.Body) {
 func (s *Scheduler) RunStarted()  { s.live.Add(1) }
 func (s *Scheduler) RunFinished() { s.live.Add(-1) }
 
-// LiveRuns returns the number of outstanding computations bracketed by
-// RunStarted/RunFinished.
-func (s *Scheduler) LiveRuns() int { return int(s.live.Load()) }
-
 // Stats is an aggregate of per-worker counters, mirroring the
 // artifact's nb_steals-style output. Steals always equals LocalSteals
 // + RemoteSteals; on a flat (single-node) topology every steal is

@@ -10,7 +10,7 @@ package sched
 //
 // The detection rule is deliberately conservative on all three axes:
 //
-//   - LiveRuns() > 0: something was submitted and has not finished, so
+//   - live runs > 0: something was submitted and has not finished, so
 //     progress is owed. An idle scheduler can never look stalled.
 //   - The executed-vertex total has not moved for the whole threshold
 //     window: any completed vertex anywhere resets the clock.
@@ -82,9 +82,6 @@ func (s *Scheduler) OnStall(fn func(StallReport)) {
 // Stalls returns the number of stalls the watchdog has detected. A
 // stall is counted only after its OnStall hook has returned.
 func (s *Scheduler) Stalls() uint64 { return s.wdStalls.Load() }
-
-// WatchdogThreshold returns the armed no-progress window (0 = off).
-func (s *Scheduler) WatchdogThreshold() time.Duration { return s.wdThreshold }
 
 // anyExecuting reports whether any worker is currently inside Execute.
 func (s *Scheduler) anyExecuting() bool {

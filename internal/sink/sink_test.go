@@ -2,8 +2,11 @@ package sink
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -175,6 +178,57 @@ func TestDroppedAccounting(t *testing.T) {
 	_ = s.Close()
 	if st := s.Stats(); st.Dropped != 8 {
 		t.Fatalf("Dropped = %d, want 8", st.Dropped)
+	}
+}
+
+// TestHTTPBackend drives the HTTP backend against an in-process
+// collector: each threshold flush is one POST of a JSON array, and a
+// collector answering non-2xx costs the batch as Dropped.
+func TestHTTPBackend(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		batches [][]RunRecord
+		refuse  atomic.Bool
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("collector got %s with Content-Type %q", r.Method, r.Header.Get("Content-Type"))
+		}
+		if refuse.Load() {
+			http.Error(w, "down", http.StatusServiceUnavailable)
+			return
+		}
+		var b []RunRecord
+		if err := json.NewDecoder(r.Body).Decode(&b); err != nil {
+			t.Errorf("collector: %v", err)
+		}
+		mu.Lock()
+		batches = append(batches, b)
+		mu.Unlock()
+	}))
+	defer srv.Close()
+
+	s := New(NewHTTP(srv.URL, nil), WithThreshold(4), WithShards(1), WithInterval(time.Hour))
+	if s.Threshold() != 4 {
+		t.Fatalf("Threshold = %d, want 4", s.Threshold())
+	}
+	for i := 0; i < 8; i++ {
+		s.Publish(rec(fmt.Sprintf("r%d", i)))
+	}
+	refuse.Store(true)
+	for i := 8; i < 12; i++ {
+		s.Publish(rec(fmt.Sprintf("r%d", i)))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(batches) != 2 || len(batches[0]) != 4 || len(batches[1]) != 4 || batches[1][3].ID != "r7" {
+		t.Fatalf("collector received %v, want two batches of 4 ending at r7", batches)
+	}
+	if st := s.Stats(); st.BackendCalls != 3 || st.Dropped != 4 {
+		t.Fatalf("BackendCalls = %d, Dropped = %d, want 3 and 4", st.BackendCalls, st.Dropped)
 	}
 }
 

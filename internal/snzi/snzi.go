@@ -200,9 +200,6 @@ func (n *Node) IsLeft() bool { return n.left }
 // Depth returns the node's distance from the root.
 func (n *Node) Depth() int { return int(n.depth) }
 
-// Tree returns the tree this node belongs to.
-func (n *Node) Tree() *Tree { return n.tree }
-
 // Children returns the node's children and whether they exist.
 func (n *Node) Children() (left, right *Node, ok bool) {
 	c := n.children.Load()

@@ -224,25 +224,6 @@ func TestRecCount(t *testing.T) {
 	}
 }
 
-func TestNumaPolicies(t *testing.T) {
-	if NumaOff.String() != "off" || NumaRoundRobin.String() != "round-robin" || NumaFirstTouch.String() != "first-touch" {
-		t.Fatal("policy names")
-	}
-	rt := newRT(t, 2, nil)
-	for _, policy := range []NumaPolicy{NumaOff, NumaRoundRobin, NumaFirstTouch} {
-		res := FaninNUMA(rt, 2048, policy)
-		if res.Name != "fanin-numa-proxy-"+policy.String() {
-			t.Fatalf("name = %s", res.Name)
-		}
-		if res.CounterOps != faninOps(2048) {
-			t.Fatalf("%s: ops = %d", policy, res.CounterOps)
-		}
-		if res.Vertices != int64(2+2*2*(2048-1)) {
-			t.Fatalf("%s: vertices = %d", policy, res.Vertices)
-		}
-	}
-}
-
 func TestIndegree2AllAlgorithms(t *testing.T) {
 	for _, alg := range []counter.Algorithm{
 		counter.FetchAdd{}, counter.FixedSNZI{Depth: 3}, counter.Dynamic{Threshold: 4},

@@ -30,9 +30,14 @@
 //
 // or, with an explicit runtime and configuration:
 //
-//	rt := repro.NewRuntime(repro.WithWorkers(8))
+//	rt := repro.NewRuntime(repro.WithWorkers(8), repro.WithCounter("dyn"))
 //	defer rt.Close()
 //	err := rt.Run(func(c *repro.Ctx) { ... })
+//
+// NewRuntime is the one constructor and its six With* options are the
+// whole configuration surface; the dependency counter is named by the
+// paper artifact's spec string ("fetchadd", "dyn", "snzi-D", or the
+// default "adaptive").
 //
 // Failure semantics are errgroup-grade: a panic in any task is
 // recovered, converted to a *PanicError, and cancels the rest of the
@@ -51,11 +56,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/counter"
 	"repro/internal/nested"
 	"repro/internal/sched"
-	"repro/internal/snzi"
 	"repro/internal/spdag"
 	"repro/internal/topology"
 )
@@ -67,10 +70,6 @@ type Ctx = nested.Ctx
 
 // Task is user code executing as one fine-grained thread.
 type Task = nested.Task
-
-// Config tunes a Runtime; see nested.Config. It is the struct-literal
-// alternative to the functional options accepted by NewRuntime.
-type Config = nested.Config
 
 // ErrClosed is returned by Run variants on a Runtime whose Close has
 // begun.
@@ -92,13 +91,14 @@ type Runtime struct {
 	n *nested.Runtime
 }
 
-// Option configures a Runtime at construction (see NewRuntime).
-type Option func(*Config)
+// Option configures a Runtime at construction (see NewRuntime). The
+// With* functions below are the complete set.
+type Option func(*nested.Config)
 
 // WithWorkers sets the number of scheduler workers (≤ 0 means
 // GOMAXPROCS) — the evaluation's `proc` axis. With WithMaxWorkers it
 // is the floor of the elastic pool.
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
+func WithWorkers(n int) Option { return func(c *nested.Config) { c.Workers = n } }
 
 // WithMaxWorkers makes the worker pool elastic: the scheduler keeps
 // WithWorkers workers as the floor, spawns more — up to max — while
@@ -109,17 +109,7 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 // NewRuntime panics when 0 < max < workers.
 // Stats reports the pool's movement (Workers, SpawnedWorkers,
 // RetiredWorkers).
-func WithMaxWorkers(max int) Option { return func(c *Config) { c.MaxWorkers = max } }
-
-// WithAlgorithm selects the dependency-counter algorithm (nil means
-// the contention-adaptive counter: fetch-and-add until a finish block
-// observes sustained contention, the paper's in-counter after).
-func WithAlgorithm(a CounterAlgorithm) Option {
-	return func(c *Config) {
-		c.Algorithm = a
-		c.CounterSpec = ""
-	}
-}
+func WithMaxWorkers(max int) Option { return func(c *nested.Config) { c.MaxWorkers = max } }
 
 // WithCounter selects the dependency-counter algorithm by its
 // artifact-style spec string: "adaptive" (the default), "adaptive:K"
@@ -133,25 +123,29 @@ func WithAlgorithm(a CounterAlgorithm) Option {
 // (25·workers) always uses the configured worker count regardless of
 // option order. WithCounter panics on a malformed spec — the spec is
 // almost always a literal, and a Runtime must not start with a
-// different algorithm than the one it was asked for; use
-// ParseAlgorithm + WithAlgorithm to handle user-supplied specs
-// gracefully. WithCounter and WithAlgorithm override each other; the
-// last one listed wins.
+// different algorithm than the one it was asked for; check a
+// user-supplied spec with CheckCounterSpec first.
 func WithCounter(spec string) Option {
-	// Validate eagerly (the threshold does not affect validity) so the
-	// panic carries the caller's stack; construction resolves the real
-	// algorithm against the final worker count.
-	if _, err := counter.Parse(spec, 1); err != nil {
+	// Validate eagerly so the panic carries the caller's stack;
+	// construction resolves the real algorithm against the final worker
+	// count.
+	if err := CheckCounterSpec(spec); err != nil {
 		panic("repro: WithCounter: " + err.Error())
 	}
-	return func(c *Config) {
-		c.Algorithm = nil
-		c.CounterSpec = spec
-	}
+	return func(c *nested.Config) { c.CounterSpec = spec }
+}
+
+// CheckCounterSpec reports whether spec is a counter spec WithCounter
+// accepts, so a command line can reject a bad flag with an error
+// instead of WithCounter's panic.
+func CheckCounterSpec(spec string) error {
+	// The grow threshold does not affect validity.
+	_, err := counter.Parse(spec, 1)
+	return err
 }
 
 // WithSeed fixes scheduler randomness for reproducible runs.
-func WithSeed(seed uint64) Option { return func(c *Config) { c.Seed = seed } }
+func WithSeed(seed uint64) Option { return func(c *nested.Config) { c.Seed = seed } }
 
 // WithTopology sets the scheduler's locality map from worker slots to
 // nodes (NUMA sockets): workers steal from same-node victims first and
@@ -164,22 +158,14 @@ func WithSeed(seed uint64) Option { return func(c *Config) { c.Seed = seed } }
 // throughput, not results. Stats reports the split
 // (LocalSteals/RemoteSteals); SyntheticTopology exercises multi-node
 // scheduling on any host.
-func WithTopology(t Topology) Option { return func(c *Config) { c.Topology = t } }
+func WithTopology(t Topology) Option { return func(c *nested.Config) { c.Topology = t } }
 
-// RunInfo describes one completed Run for observers (WithRunHook,
-// RunContextInfo): the run's runtime-assigned id, wall-clock span,
-// outcome, and approximate work counters (runtime-global deltas over
-// the run's span — exact when runs execute one at a time, attribution
-// blurred under concurrent runs). See nested.RunInfo.
+// RunInfo describes one completed Run (see RunContextInfo): the run's
+// runtime-assigned id, wall-clock span, outcome, and approximate work
+// counters (runtime-global deltas over the run's span — exact when runs
+// execute one at a time, attribution blurred under concurrent runs).
+// See nested.RunInfo.
 type RunInfo = nested.RunInfo
-
-// WithRunHook installs a per-run completion observer: h is called
-// once for every completed Run/RunContext with that run's RunInfo, on
-// the Run caller's goroutine, after the computation has quiesced and
-// before the Run call returns. It is the hook a persistence layer
-// (internal/sink via the gateway) publishes RunRecords from. Keep h
-// brief; it is on every run's completion path.
-func WithRunHook(h func(RunInfo)) Option { return func(c *Config) { c.RunHook = h } }
 
 // WithWatchdog arms the scheduler's stall watchdog: if a computation
 // is in flight but no vertex has executed for d — and no worker is
@@ -190,11 +176,7 @@ func WithRunHook(h func(RunInfo)) Option { return func(c *Config) { c.RunHook = 
 // against wedged-scheduler shapes (a lost wake token with work queued,
 // a preempted worker holding the only ready vertex); d ≤ 0 (the
 // default) runs no watchdog goroutine at all.
-func WithWatchdog(d time.Duration) Option { return func(c *Config) { c.Watchdog = d } }
-
-// WithConfig replaces the whole configuration at once; options after
-// it still apply on top.
-func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
+func WithWatchdog(d time.Duration) Option { return func(c *nested.Config) { c.Watchdog = d } }
 
 // NewRuntime creates and starts a Runtime configured by functional
 // options: NewRuntime() for an all-defaults runtime, or e.g.
@@ -203,17 +185,12 @@ func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
 //
 // Close the Runtime when done with it.
 func NewRuntime(opts ...Option) *Runtime {
-	var cfg Config
+	var cfg nested.Config
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return New(cfg)
+	return &Runtime{n: nested.New(cfg)}
 }
-
-// New creates and starts a Runtime from a Config struct — the
-// compatibility constructor mirroring the pre-1.0
-// NewRuntime(Config{...}) form.
-func New(cfg Config) *Runtime { return &Runtime{n: nested.New(cfg)} }
 
 // Run executes f under a top-level finish and blocks until f and
 // everything it spawned have completed or the computation failed. It
@@ -388,10 +365,6 @@ func DoContext(ctx context.Context, f Task) error {
 	return Default().RunContext(ctx, f)
 }
 
-// DefaultThreshold returns the paper's grow-probability denominator
-// for p workers (25·p, §5).
-func DefaultThreshold(workers int) uint64 { return nested.DefaultThreshold(workers) }
-
 // Topology maps worker slots to locality nodes (see WithTopology and
 // internal/topology). The zero value means "auto-detect the host".
 type Topology = topology.Topology
@@ -413,67 +386,3 @@ func SyntheticTopology(nodes, slotsPerNode int) Topology {
 // the given number of slots — the explicit off switch for
 // topology-aware scheduling.
 func FlatTopology(slots int) Topology { return topology.Flat(slots) }
-
-// CounterAlgorithm is a dependency-counter algorithm the runtime can
-// be configured with; see counter.Algorithm.
-type CounterAlgorithm = counter.Algorithm
-
-// Dependency-counter algorithms from the paper's evaluation, plus the
-// contention-adaptive composite this library defaults to.
-type (
-	// InCounterAlgorithm is the paper's dynamic in-counter ("dyn").
-	InCounterAlgorithm = counter.Dynamic
-	// FetchAddAlgorithm is the single-cell fetch-and-add baseline.
-	FetchAddAlgorithm = counter.FetchAdd
-	// FixedSNZIAlgorithm is the fixed-depth SNZI tree baseline.
-	FixedSNZIAlgorithm = counter.FixedSNZI
-	// AdaptiveAlgorithm starts every finish counter as a fetch-and-add
-	// cell and promotes it to the in-counter under contention
-	// ("adaptive"); it is the default when no algorithm is configured.
-	AdaptiveAlgorithm = counter.Adaptive
-)
-
-// NewAdaptiveAlgorithm returns an AdaptiveAlgorithm with a fresh stats
-// sink (required for Stats.Promotions): contention is the promotion
-// threshold in observed cell collisions (0 means the package default)
-// and grow the in-counter grow denominator.
-func NewAdaptiveAlgorithm(contention, grow uint64) AdaptiveAlgorithm {
-	return counter.NewAdaptive(contention, grow)
-}
-
-// ParseAlgorithm resolves an artifact-style algorithm name
-// ("fetchadd", "dyn", "adaptive[:K[:batch]]", "snzi-D").
-func ParseAlgorithm(name string, threshold uint64) (CounterAlgorithm, error) {
-	return counter.Parse(name, threshold)
-}
-
-// SNZI re-exports for users who want the relaxed counter itself rather
-// than the runtime: a dynamically growable scalable non-zero
-// indicator.
-type (
-	// SNZITree is a dynamic SNZI tree; see snzi.Tree.
-	SNZITree = snzi.Tree
-	// SNZINode is one node of a SNZI tree; see snzi.Node.
-	SNZINode = snzi.Node
-)
-
-// NewSNZI creates a SNZI tree with the given initial surplus.
-func NewSNZI(initial int) *SNZITree { return snzi.NewTree(initial) }
-
-// NewFixedSNZI creates a complete SNZI tree of the given depth,
-// returning it with its leaves.
-func NewFixedSNZI(initial, depth int) (*SNZITree, []*SNZINode) {
-	return snzi.NewFixedTree(initial, depth)
-}
-
-// In-counter re-exports for direct use of the paper's primary
-// contribution (most users want Runtime instead).
-type (
-	// InCounter is the paper's dependency counter; see core.InCounter.
-	InCounter = core.InCounter
-	// InCounterState is a vertex's handle state; see core.State.
-	InCounterState = core.State
-)
-
-// NewInCounter creates an in-counter with initial count n.
-func NewInCounter(n int, opts ...core.Option) *InCounter { return core.New(n, opts...) }

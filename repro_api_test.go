@@ -349,14 +349,6 @@ func TestWithCounterSpecs(t *testing.T) {
 		}
 		rt.Close()
 	}
-	// Option order must not change the resolved tuning: the paper's
-	// grow threshold (25·workers) is computed at construction from the
-	// final worker count, even when WithCounter is listed first.
-	rt := repro.NewRuntime(repro.WithCounter("dyn"), repro.WithWorkers(8))
-	if d, ok := rt.Dag().Algorithm().(repro.InCounterAlgorithm); !ok || d.Threshold != 200 {
-		t.Errorf("WithCounter before WithWorkers: algorithm %+v, want dyn threshold 200", rt.Dag().Algorithm())
-	}
-	rt.Close()
 
 	defer func() {
 		if recover() == nil {
@@ -388,19 +380,21 @@ func TestDefaultAlgorithmIsAdaptive(t *testing.T) {
 // TestStatsPromotionsUnderContention: with a promotion threshold of 1
 // and parallel workers hammering one finish block, at least one
 // counter should migrate, and Stats must surface it. Contention is
-// scheduling-dependent (a 1-CPU host may interleave too politely), so
-// the assertion is made eventually across rounds and skips rather than
-// fails when the host cannot produce a single collision.
+// scheduling-dependent (a 1-CPU host may interleave too politely, and a
+// freshly started process often runs its first rounds without a single
+// overlap), so the assertion is made eventually across rounds and skips
+// rather than fails when the host cannot produce a single collision.
 func TestStatsPromotionsUnderContention(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs ≥ 2 Ps for cell collisions")
 	}
 	rt := repro.NewRuntime(
 		repro.WithWorkers(4),
-		repro.WithAlgorithm(repro.NewAdaptiveAlgorithm(1, 1)),
+		repro.WithCounter("adaptive:1"),
 	)
 	defer rt.Close()
-	for round := 0; round < 50; round++ {
+	const rounds = 1000 // returns at the first promotion; ~1 s if none comes
+	for round := 0; round < rounds; round++ {
 		if err := rt.Run(func(c *repro.Ctx) {
 			c.ParallelFor(0, 1<<12, 1, func(int) {})
 		}); err != nil {
@@ -410,7 +404,7 @@ func TestStatsPromotionsUnderContention(t *testing.T) {
 			return
 		}
 	}
-	t.Skip("no cell collision observed in 50 contended rounds (single-core host?)")
+	t.Skipf("no cell collision observed in %d contended rounds (single-core host?)", rounds)
 }
 
 func TestPanicErrorFormatting(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/counter"
 )
 
 // These tests exercise the supported public surface exactly the way
@@ -31,16 +32,11 @@ func TestPublicQuickstart(t *testing.T) {
 	}
 }
 
+// TestPublicAlgorithms runs a fan-in on every counter the paper
+// evaluates, each selected by its artifact spec string.
 func TestPublicAlgorithms(t *testing.T) {
-	algos := []repro.CounterAlgorithm{
-		nil,
-		repro.FetchAddAlgorithm{},
-		repro.InCounterAlgorithm{Threshold: 10},
-		repro.FixedSNZIAlgorithm{Depth: 3},
-	}
-	for _, alg := range algos {
-		// The Config-struct compatibility constructor.
-		rt := repro.New(repro.Config{Workers: 2, Algorithm: alg, Seed: 2})
+	for _, spec := range []string{"adaptive", "fetchadd", "dyn", "snzi-3"} {
+		rt := repro.NewRuntime(repro.WithWorkers(2), repro.WithCounter(spec), repro.WithSeed(2))
 		var count atomic.Int64
 		if err := rt.Run(func(c *repro.Ctx) {
 			for i := 0; i < 64; i++ {
@@ -51,67 +47,35 @@ func TestPublicAlgorithms(t *testing.T) {
 		}
 		rt.Close()
 		if count.Load() != 64 {
-			t.Fatalf("alg %v: %d asyncs ran", alg, count.Load())
+			t.Fatalf("counter %s: %d asyncs ran", spec, count.Load())
 		}
 	}
 }
 
-func TestPublicParseAlgorithm(t *testing.T) {
-	for _, name := range []string{"fetchadd", "dyn", "snzi-3"} {
-		alg, err := repro.ParseAlgorithm(name, 100)
-		if err != nil || alg.Name() != name {
-			t.Fatalf("ParseAlgorithm(%q) = %v, %v", name, alg, err)
+// TestPublicCheckCounterSpec: the validator accepts every spec
+// WithCounter accepts and rejects, without panicking, what it would
+// panic on.
+func TestPublicCheckCounterSpec(t *testing.T) {
+	for _, spec := range []string{"adaptive", "adaptive:8", "adaptive:8:64", "fetchadd", "dyn", "snzi-3"} {
+		if err := repro.CheckCounterSpec(spec); err != nil {
+			t.Fatalf("CheckCounterSpec(%q) = %v", spec, err)
 		}
 	}
-	if _, err := repro.ParseAlgorithm("nope", 1); err == nil {
-		t.Fatal("bad name accepted")
+	for _, spec := range []string{"nope", "adaptive:bogus", "snzi-x", ""} {
+		if repro.CheckCounterSpec(spec) == nil {
+			t.Fatalf("CheckCounterSpec(%q) accepted a bad spec", spec)
+		}
 	}
 }
 
+// TestPublicDefaultThreshold: the paper's grow threshold (25·workers,
+// §5) is resolved at construction from the final worker count, even
+// when WithCounter is listed before WithWorkers.
 func TestPublicDefaultThreshold(t *testing.T) {
-	if repro.DefaultThreshold(40) != 1000 {
-		t.Fatalf("DefaultThreshold(40) = %d, want 1000 (25·40)", repro.DefaultThreshold(40))
-	}
-}
-
-func TestPublicSNZI(t *testing.T) {
-	tree := repro.NewSNZI(0)
-	if tree.Query() {
-		t.Fatal("fresh tree non-zero")
-	}
-	l, r := tree.Root().Grow(true)
-	l.Arrive()
-	r.Arrive()
-	if !tree.Query() {
-		t.Fatal("tree zero after arrives")
-	}
-	if l.Depart() {
-		t.Fatal("zero too early")
-	}
-	if !r.Depart() {
-		t.Fatal("last depart must report zero")
-	}
-
-	fixed, leaves := repro.NewFixedSNZI(0, 3)
-	if len(leaves) != 8 || fixed.NodeCount() != 15 {
-		t.Fatalf("fixed tree shape: %d leaves, %d nodes", len(leaves), fixed.NodeCount())
-	}
-}
-
-func TestPublicInCounter(t *testing.T) {
-	c := repro.NewInCounter(1)
-	if c.IsZero() {
-		t.Fatal("fresh counter zero")
-	}
-	left, right := c.RootState().Increment(true)
-	if left.Decrement() {
-		t.Fatal("zero too early")
-	}
-	if !right.Decrement() {
-		t.Fatal("final decrement must report zero")
-	}
-	if !c.IsZero() {
-		t.Fatal("counter not zero")
+	rt := repro.NewRuntime(repro.WithCounter("dyn"), repro.WithWorkers(40))
+	defer rt.Close()
+	if d, ok := rt.Dag().Algorithm().(counter.Dynamic); !ok || d.Threshold != 1000 {
+		t.Fatalf("dyn on 40 workers: algorithm %+v, want threshold 1000 (25·40)", rt.Dag().Algorithm())
 	}
 }
 
