@@ -1,6 +1,11 @@
 package harness
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -221,11 +226,13 @@ func TestAllFiguresQuick(t *testing.T) {
 	var progress []string
 	opt := Options{Quick: true, N: 1 << 11, MaxProcs: 2, Runs: 1,
 		Progress: func(s string) { progress = append(progress, s) }}
+	var shapes strings.Builder
 	for _, id := range FigureOrder() {
 		rep, err := Figures()[id](opt)
 		if err != nil {
 			t.Fatalf("figure %s: %v", id, err)
 		}
+		shapes.WriteString(figureShape(rep))
 		if len(rep.Tables) == 0 {
 			t.Fatalf("figure %s: no tables", id)
 		}
@@ -246,5 +253,84 @@ func TestAllFiguresQuick(t *testing.T) {
 	}
 	if len(progress) == 0 {
 		t.Fatal("no progress callbacks")
+	}
+	checkGolden(t, "testdata/figures.golden", []byte(shapes.String()))
+}
+
+var digits = regexp.MustCompile(`[0-9]+`)
+
+// figureShape renders what a figure report is made of rather than what
+// it measured: the figure and its title; each table's title, header and
+// first-column labels with digit runs masked; and each artifact block's
+// ordered keys, minus caveat (it follows the host's parallelism). Runs
+// of blocks with the same keys collapse into one counted line.
+func figureShape(rep *Report) string {
+	var b strings.Builder
+	mask := func(s string) string { return digits.ReplaceAllString(s, "#") }
+	fmt.Fprintf(&b, "== %s: %s\n", rep.Figure, rep.Title)
+	for _, tbl := range rep.Tables {
+		fmt.Fprintf(&b, "table: %s\n  header: %s\n", mask(tbl.Title), mask(strings.Join(tbl.Columns, " | ")))
+		// Rows are unexported; read the first column back from the
+		// rendered table, whose separator line gives the column width.
+		lines := strings.Split(strings.TrimRight(tbl.Render(), "\n"), "\n")
+		if tbl.Title != "" {
+			lines = lines[1:]
+		}
+		width := len(strings.Fields(lines[1])[0])
+		var labels []string
+		for _, line := range lines[2:] {
+			labels = append(labels, mask(strings.TrimRight(line[:min(width, len(line))], " ")))
+		}
+		fmt.Fprintf(&b, "  rows: %s\n", strings.Join(labels, ", "))
+	}
+	var prev string
+	count := 0
+	flush := func() {
+		if count > 0 {
+			fmt.Fprintf(&b, "  %d× %s\n", count, prev)
+		}
+	}
+	b.WriteString("blocks:\n")
+	for _, blk := range rep.Artifact().Blocks {
+		var keys []string
+		for _, kv := range blk.Inputs {
+			keys = append(keys, kv.Key)
+		}
+		keys = append(keys, "---")
+		for _, kv := range blk.Outputs {
+			if kv.Key != "caveat" {
+				keys = append(keys, kv.Key)
+			}
+		}
+		line := strings.Join(keys, " ")
+		if line != prev {
+			flush()
+			prev, count = line, 0
+		}
+		count++
+	}
+	flush()
+	return b.String()
+}
+
+// checkGolden compares got against the committed golden file;
+// UPDATE_GOLDEN=1 rewrites the file instead.
+func checkGolden(t *testing.T, golden string, got []byte) {
+	t.Helper()
+	if os.Getenv("UPDATE_GOLDEN") == "1" {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("figure shapes changed (UPDATE_GOLDEN=1 regenerates; commit the diff deliberately)\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
