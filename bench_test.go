@@ -2,13 +2,17 @@
 // go-test-friendly sizes. One Benchmark per figure of the PPoPP'17
 // evaluation (the full, paper-scale sweeps live in cmd/ppopp17bench;
 // see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured results).
+// paper-vs-measured results). Every kernel cell is a harness.Spec
+// built by harness.NewCell — the constructor the figure drivers use —
+// so a cell here and the figure point of the same Spec measure the
+// same runtime running the same kernel.
 //
 // Conventions: each iteration of a benchmark executes one complete
 // workload run; the custom metric "ops/s/core" is the paper's y-axis
 // (counter operations per second per worker), and the stall-model
 // benchmarks report "stalls/op", the contention quantity of Theorem
-// 4.9.
+// 4.9. bench/cells.txt lists every cell name; CI diffs it against
+// the bench smoke run.
 package repro_test
 
 import (
@@ -25,97 +29,127 @@ import (
 	"repro/internal/core"
 	"repro/internal/counter"
 	"repro/internal/gateway"
-	"repro/internal/nested"
+	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/sink"
 	"repro/internal/snzi"
 	"repro/internal/stallsim"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
 const benchN = 1 << 14 // fanin leaves per iteration
 
-func procsAxis() []int {
-	return []int{1, 2}
+// cell is one kernel benchmark cell: a harness.Spec under its
+// sub-benchmark name.
+type cell struct {
+	name string
+	spec harness.Spec
 }
 
-func newRT(b *testing.B, procs int, algo counter.Algorithm) *nested.Runtime {
-	b.Helper()
-	// The topology is pinned flat so the gated baseline cells keep one
-	// meaning on every runner: without this, a multi-socket host's
-	// sysfs would silently switch the cells to topology-aware
-	// scheduling (same rationale as harness.Run; the topology axis has
-	// its own benchmark, BenchmarkFig13Topology).
-	w := procs
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// cellReport reports a cell's metrics from its last run and the tally
+// accumulated over all b.N runs.
+type cellReport func(b *testing.B, spec harness.Spec, last workload.Result, d harness.Tally)
+
+// runCells runs each cell as a sub-benchmark: b.N runs of its kernel
+// on the runtime harness.NewCell built for its spec, then report.
+func runCells(b *testing.B, cells []cell, report cellReport) {
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			hc := newCell(b, c.spec)
+			t0 := hc.Tally()
+			var last workload.Result
+			loop(b, func() { last = hc.Run() })
+			report(b, hc.Spec, last, hc.Tally().Sub(t0))
+		})
 	}
-	rt := nested.New(nested.Config{Workers: procs, Algorithm: algo, Seed: 1,
-		Topology: topology.Flat(w)})
-	b.Cleanup(rt.Close)
-	return rt
 }
 
-func reportFanin(b *testing.B, res workload.Result) {
-	b.ReportMetric(res.OpsPerSecPerCore(), "ops/s/core")
-	b.ReportMetric(float64(res.FinalNodes), "incounter-nodes")
+// newCell builds spec's harness cell at seed 1 and closes it with the
+// benchmark.
+func newCell(b *testing.B, spec harness.Spec) *harness.Cell {
+	b.Helper()
+	spec.Seed = 1
+	c, err := harness.NewCell(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(c.Close)
+	return c
+}
+
+// loop is the one b.N loop: it times b.N calls of op.
+func loop(b *testing.B, op func()) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+}
+
+// byAlgoAndProcs names one cell per algorithm × {1, 2} workers.
+func byAlgoAndProcs(spec harness.Spec, algos ...string) []cell {
+	var cells []cell
+	for _, algo := range algos {
+		for _, p := range []int{1, 2} {
+			spec.Algo, spec.Procs = algo, p
+			cells = append(cells, cell{fmt.Sprintf("%s/p=%d", algo, p), spec})
+		}
+	}
+	return cells
+}
+
+// byThreshold names one dyn fanin cell per grow threshold, on every
+// host thread.
+func byThreshold(ths ...uint64) []cell {
+	var cells []cell
+	for _, th := range ths {
+		cells = append(cells, cell{fmt.Sprintf("th=%d", th), harness.Spec{Bench: "fanin", Algo: "dyn",
+			Procs: runtime.GOMAXPROCS(0), N: benchN, Threshold: th}})
+	}
+	return cells
+}
+
+// byVariant names one dyn fanin cell (threshold 1, every host thread)
+// per in-counter variant-bit setting of harness.Spec.Variant.
+func byVariant(names []string, bits ...uint8) []cell {
+	var cells []cell
+	for i, v := range bits {
+		cells = append(cells, cell{names[i], harness.Spec{Bench: "fanin", Algo: "dyn",
+			Procs: runtime.GOMAXPROCS(0), N: benchN, Threshold: 1, Variant: v}})
+	}
+	return cells
+}
+
+func reportOps(b *testing.B, _ harness.Spec, last workload.Result, _ harness.Tally) {
+	b.ReportMetric(last.OpsPerSecPerCore(), "ops/s/core")
+}
+
+func reportFanin(b *testing.B, spec harness.Spec, last workload.Result, d harness.Tally) {
+	reportOps(b, spec, last, d)
+	b.ReportMetric(float64(last.FinalNodes), "incounter-nodes")
 }
 
 // BenchmarkFig08Fanin — Figure 8: fanin across counter algorithms and
 // core counts, plus the contention-adaptive composite (within noise of
 // fetchadd while uncontended, promoting toward dyn under contention).
 func BenchmarkFig08Fanin(b *testing.B) {
-	algos := []string{"fetchadd", "snzi-1", "snzi-4", "snzi-8", "dyn", "adaptive"}
-	for _, algo := range algos {
-		for _, p := range procsAxis() {
-			b.Run(fmt.Sprintf("%s/p=%d", algo, p), func(b *testing.B) {
-				alg, err := counter.Parse(algo, nested.DefaultThreshold(p))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt := newRT(b, p, alg)
-				var res workload.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res = workload.Fanin(rt, benchN)
-				}
-				b.StopTimer()
-				reportFanin(b, res)
-			})
-		}
-	}
+	runCells(b, byAlgoAndProcs(harness.Spec{Bench: "fanin", N: benchN},
+		"fetchadd", "snzi-1", "snzi-4", "snzi-8", "dyn", "adaptive"), reportFanin)
 }
 
 // BenchmarkPhaseShift — the adaptive counter's motivating workload: a
 // low-contention prologue into a fan-in storm on one finish counter,
 // which neither static algorithm wins at both ends.
 func BenchmarkPhaseShift(b *testing.B) {
-	for _, algo := range []string{"fetchadd", "dyn", "adaptive"} {
-		for _, p := range procsAxis() {
-			b.Run(fmt.Sprintf("%s/p=%d", algo, p), func(b *testing.B) {
-				alg, err := counter.Parse(algo, nested.DefaultThreshold(p))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt := newRT(b, p, alg)
-				var res workload.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res = workload.PhaseShift(rt, benchN)
-				}
-				b.StopTimer()
-				reportFanin(b, res)
-				if pr, ok := alg.(counter.PromotionReporter); ok {
-					// Per iteration, not the raw total: the stats sink
-					// accumulates across all b.N runs, and a cumulative
-					// value would make the committed baseline depend on
-					// -benchtime.
-					b.ReportMetric(float64(pr.Promotions())/float64(b.N), "promotions")
-				}
-			})
-		}
-	}
+	runCells(b, byAlgoAndProcs(harness.Spec{Bench: "phase-shift", N: benchN}, "fetchadd", "dyn", "adaptive"),
+		func(b *testing.B, spec harness.Spec, last workload.Result, d harness.Tally) {
+			reportFanin(b, spec, last, d)
+			if spec.Algo == "adaptive" {
+				// Per iteration, not the raw total: a cumulative value
+				// would make the committed baseline depend on -benchtime.
+				b.ReportMetric(float64(d.Promotions)/float64(b.N), "promotions")
+			}
+		})
 }
 
 // BenchmarkZipfHotKey — the batched counter frontend's motivating
@@ -127,42 +161,13 @@ func BenchmarkPhaseShift(b *testing.B) {
 // shared-rmws/op is the coalescing ledger's headline quotient, and the
 // full batch-threshold sweep lives in ppopp17bench -fig zipf.
 func BenchmarkZipfHotKey(b *testing.B) {
-	const (
-		zipfN    = benchN / 4
-		zipfKeys = 8
-		zipfSkew = 1.2
-	)
-	for _, spec := range []string{"adaptive:0", "adaptive:0:16"} {
-		for _, p := range procsAxis() {
-			b.Run(fmt.Sprintf("%s/p=%d", spec, p), func(b *testing.B) {
-				alg, err := counter.Parse(spec, nested.DefaultThreshold(p))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt := newRT(b, p, alg)
-				before := rt.Scheduler().Stats()
-				var res workload.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res = workload.ZipfHotKey(rt, zipfN, zipfKeys, zipfSkew)
-				}
-				b.StopTimer()
-				after := rt.Scheduler().Stats()
-				b.ReportMetric(res.OpsPerSecPerCore(), "ops/s/core")
-				// Per-op ledger across all b.N runs: operations not
-				// buffered hit the shared counter directly, buffered ones
-				// only surface as frontend flushes.
-				ops := res.CounterOps * uint64(b.N)
-				flushes := after.CounterFlushes - before.CounterFlushes
-				buffered := after.CounterLocalIncs - before.CounterLocalIncs
-				rmws := flushes
-				if ops > buffered {
-					rmws += ops - buffered
-				}
-				b.ReportMetric(float64(rmws)/float64(ops), "shared-rmws/op")
-			})
-		}
-	}
+	runCells(b, byAlgoAndProcs(harness.Spec{Bench: "zipf", N: benchN / 4}, "adaptive:0", "adaptive:0:16"),
+		func(b *testing.B, spec harness.Spec, last workload.Result, d harness.Tally) {
+			reportOps(b, spec, last, d)
+			// Per-op ledger across all b.N runs.
+			b.ReportMetric(harness.SharedRMWsPerOp(last.CounterOps*uint64(b.N),
+				d.CounterLocalIncs, d.CounterFlushes), "shared-rmws/op")
+		})
 }
 
 // BenchmarkBurst — the elastic worker pool's motivating workload (not
@@ -176,42 +181,33 @@ func BenchmarkZipfHotKey(b *testing.B) {
 // elastic-vs-fixed-max ratio is asserted in elastic_test.go).
 func BenchmarkBurst(b *testing.B) {
 	const maxW = 4
+	// Every pool is offered the same storms, lanes at twice the
+	// ceiling, so the fixed-min cell runs the elastic cell's load
+	// rather than its own pool's lane count.
 	cfg := workload.BurstConfig{
 		Leaves: benchN / 16, Storms: 4, Lanes: 2 * maxW,
 		Gap: 2 * time.Millisecond,
 	}
-	pools := []struct {
-		name     string
-		min, max int
-	}{
-		{"fixed-min", 1, 0},
-		{"fixed-max", maxW, 0},
-		{"elastic", 1, maxW},
-	}
-	for _, pool := range pools {
-		b.Run(pool.name, func(b *testing.B) {
-			rt := nested.New(nested.Config{
-				Workers: pool.min, MaxWorkers: pool.max, Seed: 1,
-				RetireAfter: 25 * time.Millisecond,
-				Topology:    topology.Flat(maxW), // pinned: see newRT
-			})
-			b.Cleanup(rt.Close)
+	for _, c := range []cell{
+		{"fixed-min", harness.Spec{Procs: 1}},
+		{"fixed-max", harness.Spec{Procs: maxW}},
+		{"elastic", harness.Spec{Procs: 1, MaxWorkers: maxW}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			c.spec.Bench, c.spec.Algo, c.spec.N = "burst", "adaptive", cfg.Leaves
+			rt := newCell(b, c.spec).RT
 			// Aggregate over all iterations (not the last run alone):
 			// a single 4-storm run is short enough that scheduler noise
 			// would dominate the gated metric.
 			var ops uint64
 			var busy time.Duration
 			peak := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			loop(b, func() {
 				res := workload.Burst(rt, cfg)
 				ops += res.CounterOps
 				busy += res.Elapsed
-				if res.Workers > peak {
-					peak = res.Workers
-				}
-			}
-			b.StopTimer()
+				peak = max(peak, res.Workers)
+			})
 			b.ReportMetric(float64(ops)/busy.Seconds(), "ops/s")
 			b.ReportMetric(float64(peak), "peak-workers")
 		})
@@ -219,15 +215,16 @@ func BenchmarkBurst(b *testing.B) {
 }
 
 // BenchmarkServe — the gateway serving path (not a figure of the
-// paper; see internal/gateway and `ppopp17bench -fig serve`): an
-// in-process HTTP server over a fixed 2-worker runtime, driven
-// open-loop by internal/workload's Uniform generator. The steady cell
-// offers a fixed 100 req/s (well under capacity on any host), so its
-// gated ops/s is rate-bound and host-stable; the overload cell offers
-// 600 req/s against a shallow queue, so completed throughput is
-// capacity-bound and the shed-rate metric (presence-gated) shows
-// admission control actually refusing the excess — that metric
-// vanishing from a cell means the bounded queue came unwired.
+// paper; see internal/gateway and `ppopp17bench -fig serve`): the
+// serve figure's in-process HTTP server over a fixed 2-worker runtime,
+// driven open-loop by internal/workload's Uniform generator. The
+// steady cell offers a fixed 100 req/s (well under capacity on any
+// host), so its gated ops/s is rate-bound and host-stable; the
+// overload cell offers 600 req/s against a shallow queue, so completed
+// throughput is capacity-bound and the shed-rate metric
+// (presence-gated) shows admission control actually refusing the
+// excess — that metric vanishing from a cell means the bounded queue
+// came unwired.
 func BenchmarkServe(b *testing.B) {
 	workload.CalibrateWork()
 	const serviceUS = 5000
@@ -236,25 +233,17 @@ func BenchmarkServe(b *testing.B) {
 		rate float64
 	}{{"steady", 100}, {"overload", 600}} {
 		b.Run(cell.name, func(b *testing.B) {
-			srv := gateway.NewServer("127.0.0.1:0", gateway.Config{
-				RuntimeOptions: []repro.Option{repro.WithWorkers(2), repro.WithSeed(1)},
-				Dispatchers:    4,
-				QueueDepth:     8,
-			})
-			if err := srv.Listen(); err != nil {
+			url, stop, err := harness.StartServer(2, nil)
+			if err != nil {
 				b.Fatal(err)
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			served := make(chan error, 1)
-			go func() { served <- srv.Serve(ctx) }()
 			b.Cleanup(func() {
-				cancel()
-				if err := <-served; err != nil {
+				if err := stop(); err != nil {
 					b.Fatal(err)
 				}
 			})
 			cfg := workload.ServeConfig{
-				URL:      "http://" + srv.Addr(),
+				URL:      url,
 				Template: "spin",
 				N:        serviceUS,
 				Timeout:  time.Minute, // sheds must come from admission, not deadlines
@@ -266,8 +255,7 @@ func BenchmarkServe(b *testing.B) {
 			// is short enough that arrival jitter would dominate.
 			var sent, ok, shed int
 			var busy time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			loop(b, func() {
 				res := workload.Uniform(cfg)
 				if res.Errors > 0 {
 					b.Fatalf("request errors: %+v", res)
@@ -276,8 +264,7 @@ func BenchmarkServe(b *testing.B) {
 				ok += res.OK
 				shed += res.Shed
 				busy += res.Elapsed
-			}
-			b.StopTimer()
+			})
 			b.ReportMetric(float64(ok)/busy.Seconds(), "ops/s")
 			b.ReportMetric(float64(shed)/float64(sent), "shed-rate")
 		})
@@ -385,76 +372,35 @@ func BenchmarkSinkCoalescing(b *testing.B) {
 // in-counter (the figure is about dyn's size invariance, so it must
 // not silently follow the runtime's adaptive default).
 func BenchmarkFig09SizeInvariance(b *testing.B) {
+	var cells []cell
 	for _, n := range []uint64{benchN / 4, benchN, benchN * 4} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rt := newRT(b, 0, counter.Dynamic{Threshold: nested.DefaultThreshold(runtime.GOMAXPROCS(0))})
-			var res workload.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res = workload.Fanin(rt, n)
-			}
-			b.StopTimer()
-			reportFanin(b, res)
-		})
+		cells = append(cells, cell{fmt.Sprintf("n=%d", n),
+			harness.Spec{Bench: "fanin", Algo: "dyn", Procs: runtime.GOMAXPROCS(0), N: n}})
 	}
+	runCells(b, cells, reportFanin)
 }
 
 // BenchmarkFig10Indegree2 — Figure 10: the indegree2 benchmark across
 // algorithms (per-finish-block allocation stress).
 func BenchmarkFig10Indegree2(b *testing.B) {
+	var cells []cell
 	for _, algo := range []string{"fetchadd", "snzi-2", "snzi-4", "dyn"} {
-		b.Run(algo, func(b *testing.B) {
-			alg, err := counter.Parse(algo, nested.DefaultThreshold(2))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rt := newRT(b, 0, alg)
-			var res workload.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res = workload.Indegree2(rt, benchN)
-			}
-			b.StopTimer()
-			reportFanin(b, res)
-		})
+		cells = append(cells, cell{algo,
+			harness.Spec{Bench: "indegree2", Algo: algo, Procs: runtime.GOMAXPROCS(0), N: benchN}})
 	}
+	runCells(b, cells, reportFanin)
 }
 
 // BenchmarkFig11Threshold — Figure 11: the grow-probability threshold
 // study.
 func BenchmarkFig11Threshold(b *testing.B) {
-	for _, th := range []uint64{10, 100, 1000, 100000} {
-		b.Run(fmt.Sprintf("th=%d", th), func(b *testing.B) {
-			rt := newRT(b, 0, counter.Dynamic{Threshold: th})
-			var res workload.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res = workload.Fanin(rt, benchN)
-			}
-			b.StopTimer()
-			reportFanin(b, res)
-		})
-	}
+	runCells(b, byThreshold(10, 100, 1000, 100000), reportFanin)
 }
 
 // BenchmarkFig12SnziRepro — Figure 12 (appendix C.1): the original
 // SNZI paper's raw arrive/depart stress test.
 func BenchmarkFig12SnziRepro(b *testing.B) {
-	const ops = 1 << 14
-	for _, cfg := range []struct {
-		name  string
-		depth int
-	}{{"fetchadd", -1}, {"snzi-2", 2}, {"snzi-5", 5}} {
-		for _, p := range procsAxis() {
-			b.Run(fmt.Sprintf("%s/p=%d", cfg.name, p), func(b *testing.B) {
-				var res workload.Result
-				for i := 0; i < b.N; i++ {
-					res = workload.SnziStress(p, cfg.depth, ops)
-				}
-				b.ReportMetric(res.OpsPerSecPerCore(), "ops/s/core")
-			})
-		}
-	}
+	runCells(b, byAlgoAndProcs(harness.Spec{Bench: "snzi-stress", N: 1 << 14}, "fetchadd", "snzi-2", "snzi-5"), reportOps)
 }
 
 // BenchmarkFig13Topology — Figure 13 (appendix C.2) on the real
@@ -465,87 +411,37 @@ func BenchmarkFig12SnziRepro(b *testing.B) {
 // benchgate gates: the locality counters vanishing from a cell means
 // the topology layer came unwired.
 func BenchmarkFig13Topology(b *testing.B) {
-	const workers = 2
-	topos := []struct {
-		name string
-		topo topology.Topology
-	}{
-		{"flat", topology.Flat(workers)},
-		{"2-node", topology.Synthetic(2, 1)},
-	}
-	for _, tp := range topos {
+	var cells []cell
+	for nodes, topo := range []string{"flat", "2-node"} {
 		for _, algo := range []string{"fetchadd", "dyn"} {
-			b.Run(fmt.Sprintf("%s/%s", tp.name, algo), func(b *testing.B) {
-				alg, err := counter.Parse(algo, nested.DefaultThreshold(workers))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt := nested.New(nested.Config{Workers: workers, Algorithm: alg, Seed: 1, Topology: tp.topo})
-				b.Cleanup(rt.Close)
-				sc := rt.Scheduler()
-				st0 := sc.Stats()
-				var res workload.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res = workload.Fanin(rt, benchN)
-				}
-				b.StopTimer()
-				reportFanin(b, res)
-				st := sc.Stats()
-				b.ReportMetric(float64(st.LocalSteals-st0.LocalSteals)/float64(b.N), "local-steals")
-				b.ReportMetric(float64(st.RemoteSteals-st0.RemoteSteals)/float64(b.N), "remote-steals")
-			})
+			cells = append(cells, cell{topo + "/" + algo,
+				harness.Spec{Bench: "fanin-numa", Algo: algo, Procs: 2, Nodes: nodes + 1, N: benchN}})
 		}
 	}
+	runCells(b, cells, func(b *testing.B, spec harness.Spec, last workload.Result, d harness.Tally) {
+		reportFanin(b, spec, last, d)
+		b.ReportMetric(float64(d.LocalSteals)/float64(b.N), "local-steals")
+		b.ReportMetric(float64(d.RemoteSteals)/float64(b.N), "remote-steals")
+	})
 }
 
 // BenchmarkFig14Granularity — Figure 14 (appendix C.3): fanin with
 // calibrated dummy work per task.
 func BenchmarkFig14Granularity(b *testing.B) {
-	workload.CalibrateWork()
+	var cells []cell
 	for _, work := range []int{1, 100, 10000} {
 		for _, algo := range []string{"fetchadd", "snzi-4", "dyn"} {
-			b.Run(fmt.Sprintf("work=%dns/%s", work, algo), func(b *testing.B) {
-				alg, err := counter.Parse(algo, nested.DefaultThreshold(2))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt := newRT(b, 0, alg)
-				var res workload.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res = workload.FaninWork(rt, benchN/4, work)
-				}
-				b.StopTimer()
-				reportFanin(b, res)
-			})
+			cells = append(cells, cell{fmt.Sprintf("work=%dns/%s", work, algo), harness.Spec{Bench: "fanin-work",
+				Algo: algo, Procs: runtime.GOMAXPROCS(0), N: benchN / 4, WorkNs: work}})
 		}
 	}
+	runCells(b, cells, reportFanin)
 }
 
 // BenchmarkFig15SpeedupCurves — Figures 15a-e: cores sweep at a fixed
 // work level (speedups are computed across the reported times).
 func BenchmarkFig15SpeedupCurves(b *testing.B) {
-	workload.CalibrateWork()
-	const work = 1000
-	for _, algo := range []string{"fetchadd", "dyn"} {
-		for _, p := range procsAxis() {
-			b.Run(fmt.Sprintf("%s/p=%d", algo, p), func(b *testing.B) {
-				alg, err := counter.Parse(algo, nested.DefaultThreshold(p))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt := newRT(b, p, alg)
-				var res workload.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res = workload.FaninWork(rt, benchN/4, work)
-				}
-				b.StopTimer()
-				reportFanin(b, res)
-			})
-		}
-	}
+	runCells(b, byAlgoAndProcs(harness.Spec{Bench: "fanin-work", N: benchN / 4, WorkNs: 1000}, "fetchadd", "dyn"), reportFanin)
 }
 
 // BenchmarkStallModel — the Theorem 4.8/4.9 experiment: contention
@@ -578,58 +474,19 @@ func BenchmarkStallModel(b *testing.B) {
 // BenchmarkAblationGrowProbability — DESIGN.md A1: p = 1 vs
 // probabilistic growth (contention vs allocation trade).
 func BenchmarkAblationGrowProbability(b *testing.B) {
-	for _, th := range []uint64{1, 50, 5000} {
-		b.Run(fmt.Sprintf("th=%d", th), func(b *testing.B) {
-			rt := newRT(b, 0, counter.Dynamic{Threshold: th})
-			var res workload.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res = workload.Fanin(rt, benchN)
-			}
-			b.StopTimer()
-			reportFanin(b, res)
-		})
-	}
+	runCells(b, byThreshold(1, 50, 5000), reportFanin)
 }
 
 // BenchmarkAblationDecOrder — DESIGN.md A2: the ordered shared
 // decrement pairs vs the naive (reversed) order.
 func BenchmarkAblationDecOrder(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		variant core.Variant
-	}{{"paper", core.VariantPaper}, {"naive", core.VariantNaiveDecOrder}} {
-		b.Run(v.name, func(b *testing.B) {
-			rt := newRT(b, 0, counter.Dynamic{Threshold: 1, Variant: v.variant})
-			var res workload.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res = workload.Fanin(rt, benchN)
-			}
-			b.StopTimer()
-			reportFanin(b, res)
-		})
-	}
+	runCells(b, byVariant([]string{"paper", "naive"}, 0, 1), reportFanin)
 }
 
 // BenchmarkAblationArriveTarget — DESIGN.md A3: arrive at the freshly
 // grown child (leaves-only-zero invariant) vs at the handle node.
 func BenchmarkAblationArriveTarget(b *testing.B) {
-	for _, v := range []struct {
-		name    string
-		variant core.Variant
-	}{{"paper", core.VariantPaper}, {"at-handle", core.VariantArriveAtHandle}} {
-		b.Run(v.name, func(b *testing.B) {
-			rt := newRT(b, 0, counter.Dynamic{Threshold: 1, Variant: v.variant})
-			var res workload.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res = workload.Fanin(rt, benchN)
-			}
-			b.StopTimer()
-			reportFanin(b, res)
-		})
-	}
+	runCells(b, byVariant([]string{"paper", "at-handle"}, 0, 2), reportFanin)
 }
 
 // BenchmarkSNZIArriveDepart — microbenchmark of the raw SNZI
@@ -671,70 +528,32 @@ func BenchmarkFetchAddIncDec(b *testing.B) {
 // BenchmarkAblationPruning — §B space management on vs off: the cost
 // of reclaiming quiesced subtrees and its effect on live tree size.
 func BenchmarkAblationPruning(b *testing.B) {
-	for _, prune := range []bool{false, true} {
-		name := "off"
-		if prune {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			rt := newRT(b, 0, counter.Dynamic{Threshold: 1, Prune: prune})
-			var res workload.Result
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res = workload.Fanin(rt, benchN)
-			}
-			b.StopTimer()
-			reportFanin(b, res)
-		})
-	}
+	runCells(b, byVariant([]string{"off", "on"}, 0, 4), reportFanin)
 }
 
 // BenchmarkSim — the discrete-event scheduler replay (`ppopp17bench
-// -fig sim`; internal/sim): the scheduler's decision logic stepped at
-// 1024 simulated workers, far beyond any runner. ns/op is the
-// simulator's own speed and is not gated; every reported metric is a
-// pure function of (seed, config) — identical on every run, every
-// host, every GOMAXPROCS — so CI gates these cells with benchgate
-// -exact-metrics against bench/baseline_sim.txt: any drift, even by
-// one steal, means the modeled decision logic changed and the
-// baseline must be regenerated in the same commit that changed it.
+// -fig sim`; internal/sim): the sim figure's 1024-worker cells
+// (harness.SimCells), the scheduler's decision logic stepped far
+// beyond any runner. ns/op is the simulator's own speed and is not
+// gated; every reported metric is a pure function of (seed, config) —
+// identical on every run, every host, every GOMAXPROCS — so CI gates
+// these cells with benchgate -exact-metrics against
+// bench/baseline_sim.txt: any drift, even by one steal, means the
+// modeled decision logic changed and the baseline must be regenerated
+// in the same commit that changed it.
 func BenchmarkSim(b *testing.B) {
-	const workers = 1024
-	burst := func(n, d int) []sim.Arrival {
-		arr := make([]sim.Arrival, n)
-		for i := range arr {
-			arr[i] = sim.Arrival{Tick: i / 32, Depth: d}
-		}
-		return arr
-	}
-	type cell struct {
-		name string
-		cfg  sim.Config
-	}
-	// The chase-lev/ prefix names the stealing protocol the gated
-	// baseline cells were cut on; it is kept so they stay comparable.
-	cells := []cell{
-		{"chase-lev/flat", sim.Config{Workers: workers, Seed: 1,
-			Topo: topology.Flat(workers), Arrivals: burst(4, 12)}},
-		{"chase-lev/8-node", sim.Config{Workers: workers, Seed: 1,
-			Topo: topology.Synthetic(8, workers/8), Arrivals: burst(4, 12)}},
-		{"chase-lev/elastic", sim.Config{Workers: 16, MaxWorkers: workers,
-			Seed: 1, RetireAfterTicks: 16, Topo: topology.Flat(workers),
-			Arrivals: burst(128, 9)}},
-	}
-	for _, cell := range cells {
-		b.Run(cell.name, func(b *testing.B) {
-			cfg := cell.cfg
+	for _, c := range harness.SimCells() {
+		// The chase-lev/ prefix names the stealing protocol the gated
+		// baseline cells were cut on; it is kept so they stay comparable.
+		b.Run("chase-lev/"+c.Name, func(b *testing.B) {
+			cfg := c.Config
 			var res sim.Result
-			var err error
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err = sim.Run(cfg)
-				if err != nil {
+			loop(b, func() {
+				var err error
+				if res, err = sim.Run(cfg); err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.StopTimer()
+			})
 			if res.Truncated {
 				b.Fatalf("truncated at %d ticks", res.Ticks)
 			}

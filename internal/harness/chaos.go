@@ -10,6 +10,7 @@ import (
 
 	"repro"
 	"repro/internal/gateway"
+	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -84,10 +85,7 @@ func Chaos(o Options) (*Report, error) {
 	// Two workers minimum: on a single worker the wedge's spin starves
 	// the background load outright and the timeline conflates CPU theft
 	// with admission sheds.
-	workers := o.MaxProcs
-	if workers < 2 {
-		workers = 2
-	}
+	workers := max(o.MaxProcs, 2)
 
 	reg := gateway.Builtins()
 	if err := reg.Register(gateway.WedgeTemplate()); err != nil {
@@ -236,37 +234,34 @@ func Chaos(o Options) (*Report, error) {
 		if s.degraded {
 			deg = "yes"
 		}
-		tbl.AddRow(
-			fmt.Sprintf("%d", t),
-			(time.Duration(t+1) * p.tick).String(),
-			fmt.Sprintf("%d", s.completed),
-			fmt.Sprintf("%d", s.shed),
-			deg, event)
+		tbl.AddRow(t, (time.Duration(t+1) * p.tick).String(), s.completed, s.shed, deg, event)
 	}
 	rep.Tables = append(rep.Tables, tbl)
 
-	var sent, completed, shedTotal int64
+	var completed, shedTotal int64
 	for _, s := range timeline {
 		completed += s.completed
 		shedTotal += s.shed
 	}
-	sent = completed + shedTotal
+	sent := completed + shedTotal
 	window := time.Duration(p.ticks) * p.tick
-	m := Measurement{
-		Spec:          Spec{Bench: "chaos", Algo: "adaptive", Procs: workers, N: p.spinUS, Runs: 1, Seed: 1},
-		Seconds:       stats.Summarize([]float64{window.Seconds()}),
-		Sent:          int(sent),
-		Completed:     int(completed),
-		Shed:          int(shedTotal),
-		Throughput:    float64(completed) / window.Seconds(),
-		ShedRate:      float64(shedTotal) / float64(max(sent, 1)),
-		Reaped:        final.Reaped,
-		DegradedTrips: final.DegradedTrips,
-		ShedDegraded:  final.ShedDegraded,
-		RecoverTick:   recov,
-		Caveat:        hostCaveat(),
-	}
-	rep.Measurements = append(rep.Measurements, m)
+	// The chaos record is outcome-shaped: how the gateway's
+	// self-defense handled one injected wedge under background load.
+	rep.Blocks = append(rep.Blocks, withCaveat(report.NewBlock().
+		In("bench", "chaos").
+		In("proc", workers).
+		In("n", p.spinUS).
+		Out("exectime", fmt.Sprintf("%.6f", window.Seconds())).
+		Out("nb_sent", sent).
+		Out("nb_completed", completed).
+		Out("nb_shed", shedTotal).
+		Out("shed_rate", fmt.Sprintf("%.4f", float64(shedTotal)/float64(max(sent, 1)))).
+		Out("throughput_req_per_sec", fmt.Sprintf("%.1f", float64(completed)/window.Seconds())).
+		Out("nb_reaped", final.Reaped).
+		Out("nb_degraded_trips", final.DegradedTrips).
+		Out("nb_shed_degraded", final.ShedDegraded).
+		Out("recover_tick", recov).
+		Out("killed", 0), hostCaveat()))
 
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("wedge injected at tick %d; reap observed at tick %d (deadline %v + grace %v); degraded hold-down %v shed %d admissions; recovered at tick %s",

@@ -58,14 +58,6 @@ func (o Options) progress(format string, args ...interface{}) {
 // with Options.N for a paper-scale run).
 const defaultN = 1 << 20
 
-// snziDepths returns the fixed-tree depth axis for Figure 8.
-func (o Options) snziDepths(full []int, quick []int) []int {
-	if o.Quick {
-		return quick
-	}
-	return full
-}
-
 // Figures maps figure identifiers to their drivers.
 func Figures() map[string]func(Options) (*Report, error) {
 	return map[string]func(Options) (*Report, error){
@@ -94,26 +86,18 @@ func FigureOrder() []string {
 	return []string{"8", "9", "10", "11", "12", "13", "14", "15", "phase", "burst", "serve", "sink", "chaos", "sim", "zipf", "stalls", "ablations"}
 }
 
-// runSeries measures one spec per procs value and adds a table row per
-// algorithm; shared by the cores-sweep figures. each, when non-nil, is
-// invoked for every measurement point (in sweep order) so figures can
-// collect extra columns without re-implementing the sweep.
-func runSeries(o Options, rep *Report, bench string, algos []string, procs []int, n uint64, each func(Measurement)) error {
-	tbl := stats.NewTable(fmt.Sprintf("%s n=%d: ops/sec/core by cores", bench, n),
-		append([]string{"algo"}, intStrings(procs)...)...)
-	for _, algo := range algos {
-		row := []interface{}{algo}
-		for _, p := range procs {
-			o.progress("%s %s p=%d", bench, algo, p)
-			m, err := Run(Spec{Bench: bench, Algo: algo, Procs: p, N: n, Runs: o.Runs, Seed: 1})
+// sweep fills one table row by row: cell(r, c) measures column c of
+// row r and returns the entries it contributes after the row label.
+// Per-cell extras (a second table, a trailing row) ride in cell.
+func sweep(rep *Report, tbl *stats.Table, rows []string, cols int, cell func(r, c int) ([]interface{}, error)) error {
+	for r, label := range rows {
+		row := []interface{}{label}
+		for c := 0; c < cols; c++ {
+			entries, err := cell(r, c)
 			if err != nil {
 				return err
 			}
-			rep.Measurements = append(rep.Measurements, m)
-			row = append(row, m.OpsPerSecPerCore)
-			if each != nil {
-				each(m)
-			}
+			row = append(row, entries...)
 		}
 		tbl.AddRow(row...)
 	}
@@ -121,10 +105,37 @@ func runSeries(o Options, rep *Report, bench string, algos []string, procs []int
 	return nil
 }
 
-func intStrings(xs []int) []string {
+// measure runs spec at the options' repetitions (seed 1) and records
+// its artifact block in rep.
+func (o Options) measure(rep *Report, spec Spec) (Measurement, error) {
+	spec.Runs, spec.Seed = o.Runs, 1
+	o.progress("%s %s p=%d n=%d", spec.Bench, spec.Algo, spec.Procs, spec.N)
+	m, err := Run(spec)
+	if err == nil {
+		rep.Blocks = append(rep.Blocks, m.Block())
+	}
+	return m, err
+}
+
+// coresTable measures ops/sec/core for each algorithm (rows) at each
+// procs value (columns); each, when non-nil, sees every measurement.
+func (o Options) coresTable(rep *Report, title string, spec Spec, algos []string, procs []int, each func(Measurement)) error {
+	tbl := stats.NewTable(title, append([]string{"algo"}, labels("p=%d", procs)...)...)
+	return sweep(rep, tbl, algos, len(procs), func(r, c int) ([]interface{}, error) {
+		spec.Algo, spec.Procs = algos[r], procs[c]
+		m, err := o.measure(rep, spec)
+		if err == nil && each != nil {
+			each(m)
+		}
+		return []interface{}{m.OpsPerSecPerCore}, err
+	})
+}
+
+// labels formats each element of xs with format.
+func labels[T any](format string, xs []T) []string {
 	out := make([]string, len(xs))
 	for i, x := range xs {
-		out[i] = fmt.Sprintf("p=%d", x)
+		out[i] = fmt.Sprintf(format, x)
 	}
 	return out
 }
@@ -134,12 +145,14 @@ func intStrings(xs []int) []string {
 func Fig8(o Options) (*Report, error) {
 	o = o.fill()
 	rep := &Report{Figure: "Figure 8", Title: "Fanin benchmark, varying cores and counter algorithm"}
-	algos := []string{"fetchadd"}
-	for _, d := range o.snziDepths([]int{1, 2, 3, 4, 5, 6, 7, 8, 9}, []int{1, 4, 8}) {
-		algos = append(algos, fmt.Sprintf("snzi-%d", d))
+	depths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if o.Quick {
+		depths = []int{1, 4, 8}
 	}
-	algos = append(algos, "dyn", "adaptive")
-	if err := runSeries(o, rep, "fanin", algos, ProcsSweep(o.MaxProcs), o.n(defaultN), nil); err != nil {
+	algos := append(append([]string{"fetchadd"}, labels("snzi-%d", depths)...), "dyn", "adaptive")
+	n := o.n(defaultN)
+	if err := o.coresTable(rep, fmt.Sprintf("fanin n=%d: ops/sec/core by cores", n),
+		Spec{Bench: "fanin", N: n}, algos, ProcsSweep(o.MaxProcs), nil); err != nil {
 		return nil, err
 	}
 	rep.Notes = append(rep.Notes,
@@ -152,7 +165,7 @@ func Fig8(o Options) (*Report, error) {
 // of the paper; see internal/workload.PhaseShift): one finish counter
 // living through a low-contention prologue and then a fan-in storm,
 // across the static algorithms and the adaptive counter. The last
-// column reports how many counters the adaptive algorithm promoted —
+// row reports how many counters the adaptive algorithm promoted —
 // which algorithm it "settled on".
 func PhaseShift(o Options) (*Report, error) {
 	o = o.fill()
@@ -162,8 +175,9 @@ func PhaseShift(o Options) (*Report, error) {
 	// signal the figure exists to show is *which core counts* push the
 	// adaptive counter off the cell.
 	promRow := []interface{}{"adaptive promotions"}
-	err := runSeries(o, rep, "phase-shift", []string{"fetchadd", "dyn", "adaptive"},
-		ProcsSweep(o.MaxProcs), n, func(m Measurement) {
+	err := o.coresTable(rep, fmt.Sprintf("phase-shift n=%d: ops/sec/core by cores", n),
+		Spec{Bench: "phase-shift", N: n}, []string{"fetchadd", "dyn", "adaptive"},
+		ProcsSweep(o.MaxProcs), func(m Measurement) {
 			if m.Spec.Algo == "adaptive" {
 				promRow = append(promRow, fmt.Sprintf("%d", m.Promotions))
 			}
@@ -192,32 +206,20 @@ func Burst(o Options) (*Report, error) {
 	rep := &Report{Figure: "Burst", Title: "Bursty fan-out storms: fixed-min vs fixed-max vs elastic pool"}
 	n := o.n(defaultN / 16)
 	ceiling := o.MaxProcs
-	configs := []struct {
-		name        string
-		procs, elas int
-	}{
-		{"fixed-min", 1, 0},
-		{fmt.Sprintf("fixed-max(%d)", ceiling), ceiling, 0},
-		{fmt.Sprintf("elastic(1..%d)", ceiling), 1, ceiling},
-	}
+	pools := []Spec{{Procs: 1}, {Procs: ceiling}, {Procs: 1, MaxWorkers: ceiling}}
+	names := []string{"fixed-min", fmt.Sprintf("fixed-max(%d)", ceiling), fmt.Sprintf("elastic(1..%d)", ceiling)}
 	tbl := stats.NewTable(fmt.Sprintf("burst n=%d/lane: throughput and worker residency by pool", n),
 		"pool", "ops/sec", "peak workers", "steady workers", "spawned", "retired")
-	for _, cfg := range configs {
-		o.progress("burst %s", cfg.name)
-		m, err := Run(Spec{Bench: "burst", Algo: "adaptive", Procs: cfg.procs,
-			MaxWorkers: cfg.elas, N: n, Runs: o.Runs, Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		rep.Measurements = append(rep.Measurements, m)
-		tbl.AddRow(cfg.name,
-			m.OpsPerSecPerCore*float64(max(m.PeakWorkers, cfg.procs)),
-			fmt.Sprintf("%d", m.PeakWorkers),
-			fmt.Sprintf("%d", m.SteadyWorkers),
-			fmt.Sprintf("%d", m.Spawned),
-			fmt.Sprintf("%d", m.Retired))
+	err := sweep(rep, tbl, names, 1, func(r, _ int) ([]interface{}, error) {
+		spec := pools[r]
+		spec.Bench, spec.Algo, spec.N = "burst", "adaptive", n
+		m, err := o.measure(rep, spec)
+		return []interface{}{m.OpsPerSecPerCore * float64(max(m.PeakWorkers, spec.Procs)),
+			m.PeakWorkers, m.SteadyWorkers, m.Spawned, m.Retired}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes,
 		"expected shape: elastic throughput within ~10% of fixed-max, steady workers back at 1 (fixed-max stays resident at its full size through every idle gap)")
 	return rep, nil
@@ -229,27 +231,17 @@ func Fig9(o Options) (*Report, error) {
 	o = o.fill()
 	rep := &Report{Figure: "Figure 9", Title: "Fanin with the in-counter, varying n (size invariance)"}
 	base := o.n(defaultN)
-	var ns []uint64
-	for _, f := range []uint64{16, 8, 4, 2, 1} {
-		ns = append(ns, base/f)
-	}
+	ns := []uint64{base / 16, base / 8, base / 4, base / 2, base}
 	procs := distinct([]int{1, o.MaxProcs/2 + 1, o.MaxProcs})
-	tbl := stats.NewTable(fmt.Sprintf("fanin dyn: ops/sec/core by n (cores in columns)"),
-		append([]string{"n"}, intStrings(procs)...)...)
-	for _, n := range ns {
-		row := []interface{}{fmt.Sprintf("%d", n)}
-		for _, p := range procs {
-			o.progress("fig9 n=%d p=%d", n, p)
-			m, err := Run(Spec{Bench: "fanin", Algo: "dyn", Procs: p, N: n, Runs: o.Runs, Seed: 1})
-			if err != nil {
-				return nil, err
-			}
-			rep.Measurements = append(rep.Measurements, m)
-			row = append(row, m.OpsPerSecPerCore)
-		}
-		tbl.AddRow(row...)
+	tbl := stats.NewTable("fanin dyn: ops/sec/core by n (cores in columns)",
+		append([]string{"n"}, labels("p=%d", procs)...)...)
+	err := sweep(rep, tbl, labels("%d", ns), len(procs), func(r, c int) ([]interface{}, error) {
+		m, err := o.measure(rep, Spec{Bench: "fanin", Algo: "dyn", Procs: procs[c], N: ns[r]})
+		return []interface{}{m.OpsPerSecPerCore}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes, "expected shape: throughput/core roughly flat in n once n provides enough parallelism")
 	return rep, nil
 }
@@ -259,8 +251,9 @@ func Fig9(o Options) (*Report, error) {
 func Fig10(o Options) (*Report, error) {
 	o = o.fill()
 	rep := &Report{Figure: "Figure 10", Title: "Indegree-2 benchmark, varying cores and counter algorithm"}
-	if err := runSeries(o, rep, "indegree2",
-		[]string{"fetchadd", "snzi-2", "snzi-4", "dyn"}, ProcsSweep(o.MaxProcs), o.n(defaultN), nil); err != nil {
+	n := o.n(defaultN)
+	if err := o.coresTable(rep, fmt.Sprintf("indegree2 n=%d: ops/sec/core by cores", n), Spec{Bench: "indegree2", N: n},
+		[]string{"fetchadd", "snzi-2", "snzi-4", "dyn"}, ProcsSweep(o.MaxProcs), nil); err != nil {
 		return nil, err
 	}
 	rep.Notes = append(rep.Notes,
@@ -280,17 +273,13 @@ func Fig11(o Options) (*Report, error) {
 	n := o.n(defaultN)
 	tbl := stats.NewTable(fmt.Sprintf("fanin dyn n=%d p=%d: ops/sec/core by threshold", n, o.MaxProcs),
 		"threshold", "ops/sec/core", "incounter-nodes")
-	for _, th := range thresholds {
-		o.progress("fig11 threshold=%d", th)
-		m, err := Run(Spec{Bench: "fanin", Algo: "dyn", Procs: o.MaxProcs, N: n,
-			Threshold: th, Runs: o.Runs, Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		rep.Measurements = append(rep.Measurements, m)
-		tbl.AddRow(fmt.Sprintf("%d", th), m.OpsPerSecPerCore, fmt.Sprintf("%d", m.IncounterNodes))
+	err := sweep(rep, tbl, labels("%d", thresholds), 1, func(r, _ int) ([]interface{}, error) {
+		m, err := o.measure(rep, Spec{Bench: "fanin", Algo: "dyn", Procs: o.MaxProcs, N: n, Threshold: thresholds[r]})
+		return []interface{}{m.OpsPerSecPerCore, m.IncounterNodes}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes, "expected shape: a wide plateau of good thresholds (~50..1000); tree size falls as threshold grows")
 	return rep, nil
 }
@@ -306,23 +295,10 @@ func Fig12(o Options) (*Report, error) {
 	if o.Quick {
 		algos = []string{"fetchadd", "snzi-2", "snzi-5"}
 	}
-	procs := ProcsSweep(o.MaxProcs)
-	tbl := stats.NewTable(fmt.Sprintf("snzi-stress ops/thread=%d: ops/sec/core by cores", n),
-		append([]string{"algo"}, intStrings(procs)...)...)
-	for _, algo := range algos {
-		row := []interface{}{algo}
-		for _, p := range procs {
-			o.progress("fig12 %s p=%d", algo, p)
-			m, err := Run(Spec{Bench: "snzi-stress", Algo: algo, Procs: p, N: n, Runs: o.Runs, Seed: 1})
-			if err != nil {
-				return nil, err
-			}
-			rep.Measurements = append(rep.Measurements, m)
-			row = append(row, m.OpsPerSecPerCore)
-		}
-		tbl.AddRow(row...)
+	if err := o.coresTable(rep, fmt.Sprintf("snzi-stress ops/thread=%d: ops/sec/core by cores", n),
+		Spec{Bench: "snzi-stress", N: n}, algos, ProcsSweep(o.MaxProcs), nil); err != nil {
+		return nil, err
 	}
-	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes, "expected shape: fetchadd degrades past a few cores; deeper trees sustain throughput")
 	return rep, nil
 }
@@ -351,42 +327,39 @@ func Fig13(o Options) (*Report, error) {
 	if !o.Quick && o.MaxProcs >= 4 {
 		nodeAxis = append(nodeAxis, 4)
 	}
-	cols := []string{"algo"}
-	for _, nodes := range nodeAxis {
-		cols = append(cols, topoName(nodes))
-	}
-	tbl := stats.NewTable(fmt.Sprintf("fanin n=%d p=%d: ops/sec/core by topology", n, o.MaxProcs), cols...)
+	topos := topoNames(nodeAxis)
+	tbl := stats.NewTable(fmt.Sprintf("fanin n=%d p=%d: ops/sec/core by topology", n, o.MaxProcs),
+		append([]string{"algo"}, topos...)...)
 	locTbl := stats.NewTable("steal locality (same runs)",
 		"algo/topology", "local", "remote", "local share")
-	for _, algo := range []string{"fetchadd", "snzi-4", "dyn"} {
-		row := []interface{}{algo}
-		for _, nodes := range nodeAxis {
-			o.progress("fig13 %s nodes=%d", algo, nodes)
-			m, err := Run(Spec{Bench: "fanin-numa", Algo: algo, Procs: o.MaxProcs, N: n,
-				Nodes: nodes, Runs: o.Runs, Seed: 1})
-			if err != nil {
-				return nil, err
-			}
-			rep.Measurements = append(rep.Measurements, m)
-			row = append(row, m.OpsPerSecPerCore)
-			locTbl.AddRow(fmt.Sprintf("%s/%s", algo, topoName(nodes)),
-				fmt.Sprintf("%d", m.LocalSteals), fmt.Sprintf("%d", m.RemoteSteals),
-				localShare(m.LocalSteals, m.RemoteSteals))
-		}
-		tbl.AddRow(row...)
+	algos := []string{"fetchadd", "snzi-4", "dyn"}
+	err := sweep(rep, tbl, algos, len(nodeAxis), func(r, c int) ([]interface{}, error) {
+		m, err := o.measure(rep, Spec{Bench: "fanin-numa", Algo: algos[r], Procs: o.MaxProcs, N: n, Nodes: nodeAxis[c]})
+		locTbl.AddRow(algos[r]+"/"+topos[c], m.LocalSteals, m.RemoteSteals,
+			localShare(m.LocalSteals, m.RemoteSteals))
+		return []interface{}{m.OpsPerSecPerCore}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rep.Tables = append(rep.Tables, tbl, locTbl)
+	rep.Tables = append(rep.Tables, locTbl)
 	rep.Notes = append(rep.Notes,
 		"expected: a null result on the algorithm axis — the topology does not change the counter-algorithm ordering",
 		"expected mechanism: under multi-node topologies the local phase absorbs most steals (remote is the fallback)")
 	return rep, nil
 }
 
-func topoName(nodes int) string {
-	if nodes <= 1 {
-		return "flat"
+// topoNames names each node count of a topology axis: flat, or
+// N-node.
+func topoNames(axis []int) []string {
+	out := make([]string, len(axis))
+	for i, nodes := range axis {
+		out[i] = "flat"
+		if nodes > 1 {
+			out[i] = fmt.Sprintf("%d-node", nodes)
+		}
 	}
-	return fmt.Sprintf("%d-node", nodes)
+	return out
 }
 
 func localShare(local, remote uint64) string {
@@ -413,25 +386,17 @@ func Fig14(o Options) (*Report, error) {
 	}
 	tbl := stats.NewTable(fmt.Sprintf("fanin-work n=%d p=%d: speedup vs fetchadd (same work)", n, o.MaxProcs),
 		append([]string{"work(ns)"}, algos...)...)
-	for _, w := range works {
-		base := 0.0
-		row := []interface{}{fmt.Sprintf("%d", w)}
-		for _, algo := range algos {
-			o.progress("fig14 %s work=%dns", algo, w)
-			m, err := Run(Spec{Bench: "fanin-work", Algo: algo, Procs: o.MaxProcs, N: n,
-				WorkNs: w, Runs: o.Runs, Seed: 1})
-			if err != nil {
-				return nil, err
-			}
-			rep.Measurements = append(rep.Measurements, m)
-			if algo == "fetchadd" {
-				base = m.Seconds.Mean
-			}
-			row = append(row, base/m.Seconds.Mean)
+	base := 0.0 // the row's fetchadd time: algos[0] is measured first
+	err := sweep(rep, tbl, labels("%d", works), len(algos), func(r, c int) ([]interface{}, error) {
+		m, err := o.measure(rep, Spec{Bench: "fanin-work", Algo: algos[c], Procs: o.MaxProcs, N: n, WorkNs: works[r]})
+		if c == 0 {
+			base = m.Seconds.Mean
 		}
-		tbl.AddRow(row...)
+		return []interface{}{base / m.Seconds.Mean}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes, "expected shape: gap large at fine grain, converging toward 1 as per-task work grows")
 	return rep, nil
 }
@@ -452,31 +417,21 @@ func Fig15(o Options) (*Report, error) {
 	}
 	procs := ProcsSweep(o.MaxProcs)
 	for _, w := range works {
-		o.progress("fig15 baseline work=%dns", w)
-		baseM, err := Run(Spec{Bench: "fanin-work", Algo: "fetchadd", Procs: 1, N: n,
-			WorkNs: w, Runs: o.Runs, Seed: 1})
+		spec := Spec{Bench: "fanin-work", Algo: "fetchadd", Procs: 1, N: n, WorkNs: w}
+		baseM, err := o.measure(rep, spec)
 		if err != nil {
 			return nil, err
 		}
-		rep.Measurements = append(rep.Measurements, baseM)
-		base := baseM.Seconds.Mean
 		tbl := stats.NewTable(fmt.Sprintf("work=%dns: speedup vs fetchadd@1core", w),
-			append([]string{"algo"}, intStrings(procs)...)...)
-		for _, algo := range algos {
-			row := []interface{}{algo}
-			for _, p := range procs {
-				o.progress("fig15 %s work=%dns p=%d", algo, w, p)
-				m, err := Run(Spec{Bench: "fanin-work", Algo: algo, Procs: p, N: n,
-					WorkNs: w, Runs: o.Runs, Seed: 1})
-				if err != nil {
-					return nil, err
-				}
-				rep.Measurements = append(rep.Measurements, m)
-				row = append(row, base/m.Seconds.Mean)
-			}
-			tbl.AddRow(row...)
+			append([]string{"algo"}, labels("p=%d", procs)...)...)
+		err = sweep(rep, tbl, algos, len(procs), func(r, c int) ([]interface{}, error) {
+			spec.Algo, spec.Procs = algos[r], procs[c]
+			m, err := o.measure(rep, spec)
+			return []interface{}{baseM.Seconds.Mean / m.Seconds.Mean}, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		rep.Tables = append(rep.Tables, tbl)
 	}
 	rep.Notes = append(rep.Notes, "expected shape: counter choice matters more at higher core counts and finer grain")
 	return rep, nil
@@ -501,46 +456,37 @@ func StallModel(o Options) (*Report, error) {
 		stallsim.Dynamic{Threshold: 8},
 		stallsim.Dynamic{Threshold: 1},
 	}
-	tbl := stats.NewTable(fmt.Sprintf("fanin in the stall model, n=%d: stalls per counter op", n),
-		append([]string{"algo"}, intStringsP(ps)...)...)
-	steps := stats.NewTable("steps per counter op (same runs)",
-		append([]string{"algo"}, intStringsP(ps)...)...)
-	maxArr := 0
-	for _, alg := range algs {
-		row := []interface{}{alg.Name() + thSuffix(alg)}
-		srow := []interface{}{alg.Name() + thSuffix(alg)}
-		for _, p := range ps {
-			o.progress("stalls %s P=%d", alg.Name(), p)
-			res := stallsim.RunFanin(stallsim.FaninConfig{Threads: p, N: n, Algorithm: alg, Seed: 42})
-			row = append(row, res.StallsPerOp())
-			srow = append(srow, res.StepsPerOp())
-			if res.MaxArrives > maxArr {
-				maxArr = res.MaxArrives
-			}
+	names := make([]string, len(algs))
+	for i, alg := range algs {
+		names[i] = alg.Name()
+		if d, ok := alg.(stallsim.Dynamic); ok {
+			names[i] += fmt.Sprintf("(th=%d)", d.Threshold)
 		}
-		tbl.AddRow(row...)
-		steps.AddRow(srow...)
 	}
-	rep.Tables = append(rep.Tables, tbl, steps)
+	tbl := stats.NewTable(fmt.Sprintf("fanin in the stall model, n=%d: stalls per counter op", n),
+		append([]string{"algo"}, labels("P=%d", ps)...)...)
+	steps := stats.NewTable("steps per counter op (same runs)",
+		append([]string{"algo"}, labels("P=%d", ps)...)...)
+	maxArr := 0
+	stepRows := make([][]interface{}, len(algs))
+	err := sweep(rep, tbl, names, len(ps), func(r, c int) ([]interface{}, error) {
+		o.progress("stalls %s P=%d", algs[r].Name(), ps[c])
+		res := stallsim.RunFanin(stallsim.FaninConfig{Threads: ps[c], N: n, Algorithm: algs[r], Seed: 42})
+		maxArr = max(maxArr, res.MaxArrives)
+		stepRows[r] = append(stepRows[r], res.StepsPerOp())
+		return []interface{}{res.StallsPerOp()}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for r, row := range stepRows {
+		steps.AddRow(append([]interface{}{names[r]}, row...)...)
+	}
+	rep.Tables = append(rep.Tables, steps)
 	rep.Notes = append(rep.Notes,
 		"expected shape: fetchadd stalls/op grows linearly with P; dyn stays O(1); fixed depth in between",
 		fmt.Sprintf("max node-level arrives in any dyn(p=1) increment: %d (Corollary 4.7 bound: 3)", maxArr))
 	return rep, nil
-}
-
-func thSuffix(a stallsim.SimAlgorithm) string {
-	if d, ok := a.(stallsim.Dynamic); ok {
-		return fmt.Sprintf("(th=%d)", d.Threshold)
-	}
-	return ""
-}
-
-func intStringsP(xs []int) []string {
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = fmt.Sprintf("P=%d", x)
-	}
-	return out
 }
 
 // Ablations measures the design-choice variants of DESIGN.md §5:
@@ -553,17 +499,14 @@ func Ablations(o Options) (*Report, error) {
 	tbl := stats.NewTable(fmt.Sprintf("fanin n=%d p=%d, threshold=1", n, o.MaxProcs),
 		"variant", "ops/sec/core", "incounter-nodes")
 	names := []string{"paper", "naive-dec-order", "arrive-at-handle", "both"}
-	for v := uint8(0); v <= 3; v++ {
-		o.progress("ablation %s", names[v])
-		m, err := Run(Spec{Bench: "fanin", Algo: "dyn", Procs: o.MaxProcs, N: n,
-			Threshold: 1, Variant: v, Runs: o.Runs, Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		rep.Measurements = append(rep.Measurements, m)
-		tbl.AddRow(names[v], m.OpsPerSecPerCore, fmt.Sprintf("%d", m.IncounterNodes))
+	err := sweep(rep, tbl, names, 1, func(v, _ int) ([]interface{}, error) {
+		m, err := o.measure(rep, Spec{Bench: "fanin", Algo: "dyn", Procs: o.MaxProcs, N: n,
+			Threshold: 1, Variant: uint8(v)})
+		return []interface{}{m.OpsPerSecPerCore, m.IncounterNodes}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rep.Tables = append(rep.Tables, tbl)
 
 	// Second table: the arrive-path depths each variant produces, on a
 	// deterministic random valid execution. This is where breaking the
@@ -574,8 +517,8 @@ func Ablations(o Options) (*Report, error) {
 	variants := []core.Variant{core.VariantPaper, core.VariantNaiveDecOrder,
 		core.VariantArriveAtHandle, core.VariantNaiveDecOrder | core.VariantArriveAtHandle}
 	for i, v := range variants {
-		mean, max := measureArriveDepths(v, 20000)
-		depthTbl.AddRow(names[i], mean, fmt.Sprintf("%d", max))
+		mean, deepest := measureArriveDepths(v, 20000)
+		depthTbl.AddRow(names[i], mean, deepest)
 	}
 	rep.Tables = append(rep.Tables, depthTbl)
 	rep.Notes = append(rep.Notes,
@@ -586,7 +529,7 @@ func Ablations(o Options) (*Report, error) {
 // measureArriveDepths drives a random valid execution against an
 // in-counter variant and returns the mean and max arrive-path depth
 // over all increments.
-func measureArriveDepths(v core.Variant, steps int) (mean float64, max int) {
+func measureArriveDepths(v core.Variant, steps int) (mean float64, deepest int) {
 	g := rng.NewXoshiro(1234)
 	c := core.New(1, core.WithVariant(v))
 	live := []core.State{c.RootState()}
@@ -597,9 +540,7 @@ func measureArriveDepths(v core.Variant, steps int) (mean float64, max int) {
 			l, r, d := live[j].IncrementDepth(true)
 			total += d
 			count++
-			if d > max {
-				max = d
-			}
+			deepest = max(deepest, d)
 			live[j] = l
 			live = append(live, r)
 		} else {
@@ -614,14 +555,12 @@ func measureArriveDepths(v core.Variant, steps int) (mean float64, max int) {
 	if count == 0 {
 		return 0, 0
 	}
-	return float64(total) / float64(count), max
+	return float64(total) / float64(count), deepest
 }
 
 func distinct(xs []int) []int {
 	for i, x := range xs {
-		if x < 1 {
-			xs[i] = 1
-		}
+		xs[i] = max(x, 1)
 	}
 	sort.Ints(xs)
 	out := xs[:0]

@@ -1,6 +1,7 @@
-// Package harness drives the paper's experiments: it expands a
-// measurement specification into repeated runs over a configured
-// runtime, averages them, and assembles per-figure reports (one table
+// Package harness drives the paper's experiments: it builds each
+// kernel measurement cell from a Spec (NewCell — the one constructor
+// both the figure drivers and the root benchmark cells use), repeats
+// and averages it (Run), and assembles per-figure reports (one table
 // per figure of PPoPP'17 §5 and the appendices, plus the stall-model
 // contention experiment and the ablations of DESIGN.md).
 package harness
@@ -37,12 +38,15 @@ type Spec struct {
 	N         uint64
 	Threshold uint64 // dyn grow denominator; 0 → 25·max(Procs, MaxWorkers) (paper default)
 	WorkNs    int    // dummy work per leaf (fanin-work)
-	Variant   uint8  // in-counter ablation variant bits
-	Runs      int    // measured repetitions (≥1)
-	Seed      uint64
+	// Variant holds in-counter ablation bits for algo dyn: 1 reverses
+	// the decrement order (A2), 2 arrives at the handle node (A3), 4
+	// prunes quiesced subtrees (§B space management).
+	Variant uint8
+	Runs    int // measured repetitions (≥1)
+	Seed    uint64
 }
 
-// Measurement is the averaged result of one Spec.
+// Measurement is the averaged result of one kernel Spec.
 type Measurement struct {
 	Spec             Spec
 	Seconds          stats.Summary // wall-clock seconds per run
@@ -50,33 +54,14 @@ type Measurement struct {
 	CounterOps       uint64
 	Vertices         int64
 	IncounterNodes   int64
-	Steals           uint64
-	// LocalSteals and RemoteSteals split Steals by victim locality
-	// under the runtime's topology (Spec.Nodes); on a flat topology
-	// every steal is local. They are the nb_local_steals /
-	// nb_remote_steals artifact fields.
-	LocalSteals  uint64
-	RemoteSteals uint64
+	// The cell's event counts across the measured runs (see Tally).
+	Tally
 	// Caveat flags measurement-environment limitations (currently: the
 	// host exposed fewer than 2 hardware threads, so multi-worker cells
 	// measure oversubscribed interleaving, not parallel contention). It
 	// is emitted into the artifact record so readers of the JSON see
 	// what EXPERIMENTS.md says in prose.
 	Caveat string
-	// Promotions counts adaptive counters that migrated to the
-	// in-counter across the measured runs (0 for static algorithms) —
-	// the "which algorithm did adaptive settle on" statistic.
-	Promotions uint64
-	// Demotions counts promoted counters that migrated back to the
-	// cell across the measured runs (0 unless the adaptive spec
-	// batches: demotion exists only in the batched frontend).
-	Demotions uint64
-	// The batched counter frontend's coalescing ledger across the
-	// measured runs, mirroring the sink's LogicalWrites/BackendCalls
-	// split: units buffered in per-worker delta slots versus shared
-	// RMWs the frontend actually issued. Both 0 without batching.
-	CounterFlushes   uint64
-	CounterLocalIncs uint64
 	// Elastic-pool movement (burst benchmark): peak live workers
 	// observed during the measured runs, the resident worker count
 	// after the pool was given time to quiesce, and the runtime's
@@ -87,44 +72,6 @@ type Measurement struct {
 	SteadyWorkers int
 	Spawned       uint64
 	Retired       uint64
-	// Serving experiment (serve figure): client-observed outcome of
-	// one open-loop load step against an in-process gateway. Offered
-	// is the configured arrival rate; Throughput counts completed
-	// (200) requests per second; ShedRate is the 429 fraction of
-	// everything sent; the quantiles are client-observed latency of
-	// successful requests.
-	OfferedRate float64
-	Throughput  float64
-	ShedRate    float64
-	Sent        int
-	Completed   int
-	Shed        int
-	P50         time.Duration
-	P95         time.Duration
-	P99         time.Duration
-	// Self-defense outcome (chaos figure): requests force-failed as
-	// hung (504), hold-down trips, admissions shed while degraded, and
-	// the timeline tick at which throughput was back with the degraded
-	// gate lifted (-1 if recovery fell outside the window).
-	Reaped        uint64
-	DegradedTrips uint64
-	ShedDegraded  uint64
-	RecoverTick   int
-	// Coalescing outcome (sink figure): the run-record sink's write
-	// ledger after one async load step — every completed run is one
-	// logical write, every backend WriteBatch one backend call; the
-	// ratio is the write reduction coalescing bought at this
-	// threshold (Spec.Threshold).
-	LogicalWrites uint64
-	BackendCalls  uint64
-	// Discrete-event outcome (sim figure): virtual time instead of
-	// wall-clock. Ticks is how many simulated steps the run took to
-	// quiesce; PeggedTicks is how many of them the elastic pool spent
-	// at its ceiling with backlog pressure. Every sim number is
-	// deterministic from the Spec, which is why the sim benchmark is
-	// gated exactly rather than by ratio.
-	Ticks       int
-	PeggedTicks int
 }
 
 func (m Measurement) String() string {
@@ -134,110 +81,6 @@ func (m Measurement) String() string {
 
 // Block renders the measurement as an artifact-format record.
 func (m Measurement) Block() *report.Block {
-	if m.Spec.Bench == "chaos" {
-		// The chaos record is outcome-shaped: how the gateway's
-		// self-defense handled one injected wedge under background load.
-		b := report.NewBlock().
-			In("bench", "chaos").
-			In("proc", m.Spec.Procs).
-			In("n", m.Spec.N).
-			Out("exectime", fmt.Sprintf("%.6f", m.Seconds.Mean)).
-			Out("nb_sent", m.Sent).
-			Out("nb_completed", m.Completed).
-			Out("nb_shed", m.Shed).
-			Out("shed_rate", fmt.Sprintf("%.4f", m.ShedRate)).
-			Out("throughput_req_per_sec", fmt.Sprintf("%.1f", m.Throughput)).
-			Out("nb_reaped", m.Reaped).
-			Out("nb_degraded_trips", m.DegradedTrips).
-			Out("nb_shed_degraded", m.ShedDegraded).
-			Out("recover_tick", m.RecoverTick).
-			Out("killed", 0)
-		if m.Caveat != "" {
-			b.Out("caveat", m.Caveat)
-		}
-		return b
-	}
-	if m.Spec.Bench == "sink" {
-		// The coalescing experiment's record: async load in, the
-		// sink's write-reduction ledger out.
-		ratio := float64(m.LogicalWrites)
-		if m.BackendCalls > 0 {
-			ratio = float64(m.LogicalWrites) / float64(m.BackendCalls)
-		}
-		b := report.NewBlock().
-			In("bench", "sink").
-			In("proc", m.Spec.Procs).
-			In("threshold", m.Spec.Threshold).
-			In("rate", fmt.Sprintf("%.1f", m.OfferedRate)).
-			Out("exectime", fmt.Sprintf("%.6f", m.Seconds.Mean)).
-			Out("nb_completed", m.Completed).
-			Out("nb_logical_writes", m.LogicalWrites).
-			Out("nb_backend_calls", m.BackendCalls).
-			Out("coalesce_ratio", fmt.Sprintf("%.1f", ratio)).
-			Out("p50_ms", fmt.Sprintf("%.3f", float64(m.P50)/1e6)).
-			Out("p99_ms", fmt.Sprintf("%.3f", float64(m.P99)/1e6)).
-			Out("killed", 0)
-		if m.Caveat != "" {
-			b.Out("caveat", m.Caveat)
-		}
-		return b
-	}
-	if m.Spec.Bench == "sim" {
-		// The sim record is virtual-time-shaped: no exectime, no caveat
-		// (the simulation is host-independent by construction — that is
-		// the point), scheduling counts out. proc is the simulated
-		// worker floor, far beyond any host.
-		b := report.NewBlock().
-			In("bench", "sim").
-			In("proc", m.Spec.Procs).
-			In("n", m.Spec.N)
-		if m.Spec.MaxWorkers > m.Spec.Procs {
-			b.In("maxproc", m.Spec.MaxWorkers)
-		}
-		if m.Spec.Nodes > 1 {
-			b.In("nodes", m.Spec.Nodes)
-		}
-		b.Out("nb_ticks", m.Ticks).
-			Out("nb_vertices", m.Vertices).
-			Out("nb_steals", m.Steals).
-			Out("nb_local_steals", m.LocalSteals).
-			Out("nb_remote_steals", m.RemoteSteals).
-			Out("nb_promotions", m.Promotions).
-			Out("nb_pegged_ticks", m.PeggedTicks).
-			Out("killed", 0)
-		if m.Spec.MaxWorkers > m.Spec.Procs {
-			b.Out("nb_peak_workers", m.PeakWorkers).
-				Out("nb_steady_workers", m.SteadyWorkers).
-				Out("nb_spawned_workers", m.Spawned).
-				Out("nb_retired_workers", m.Retired)
-		}
-		return b
-	}
-	if m.Spec.Bench == "serve" {
-		// The serving experiment's record is request-shaped, not
-		// counter-shaped: offered load in, throughput / shed rate /
-		// client latency quantiles out.
-		b := report.NewBlock().
-			In("bench", "serve").
-			In("proc", m.Spec.Procs).
-			In("n", m.Spec.N).
-			In("rate", fmt.Sprintf("%.1f", m.OfferedRate)).
-			Out("exectime", fmt.Sprintf("%.6f", m.Seconds.Mean)).
-			Out("nb_runs", m.Seconds.N).
-			Out("nb_sent", m.Sent).
-			Out("nb_completed", m.Completed).
-			Out("nb_shed", m.Shed).
-			Out("shed_rate", fmt.Sprintf("%.4f", m.ShedRate)).
-			Out("throughput_req_per_sec", fmt.Sprintf("%.1f", m.Throughput)).
-			Out("p50_ms", fmt.Sprintf("%.3f", float64(m.P50)/1e6)).
-			Out("p95_ms", fmt.Sprintf("%.3f", float64(m.P95)/1e6)).
-			Out("p99_ms", fmt.Sprintf("%.3f", float64(m.P99)/1e6)).
-			Out("killed", 0)
-		if m.Caveat != "" {
-			b.Out("caveat", m.Caveat)
-		}
-		return b
-	}
 	b := report.NewBlock().
 		In("bench", m.Spec.Bench).
 		In("algo", m.Spec.Algo).
@@ -267,9 +110,7 @@ func (m Measurement) Block() *report.Block {
 			Out("nb_counter_flushes", m.CounterFlushes).
 			Out("nb_counter_local_incs", m.CounterLocalIncs)
 	}
-	if m.Caveat != "" {
-		b.Out("caveat", m.Caveat)
-	}
+	withCaveat(b, m.Caveat)
 	if m.Spec.Bench == "burst" {
 		b.In("maxproc", m.Spec.MaxWorkers).
 			Out("nb_peak_workers", m.PeakWorkers).
@@ -280,58 +121,66 @@ func (m Measurement) Block() *report.Block {
 	return b
 }
 
-// Run executes one Spec: a warmup run followed by Spec.Runs measured
-// runs on a fresh runtime.
-func Run(spec Spec) (Measurement, error) {
-	if spec.Procs < 1 {
-		spec.Procs = 1
-	}
-	if spec.Runs < 1 {
-		spec.Runs = 1
-	}
-	if spec.N < 1 {
-		spec.N = 1
-	}
-	threshold := spec.Threshold
-	if threshold == 0 {
-		// The ceiling, like nested.New: the contention-relevant p of an
-		// elastic pool is how many workers can actually collide.
-		threshold = nested.DefaultThreshold(max(spec.Procs, spec.MaxWorkers))
-	}
+// The burst benchmark keeps its idle gaps below the retirement
+// threshold, so an elastic pool stays warm across the storms of one
+// run but sheds its extra workers between measurement points.
+const burstRetireAfter = 25 * time.Millisecond
 
+// Cell is one kernel measurement cell: the runtime a Spec names and
+// the kernel that runs one repetition on it. Run measures a cell for
+// a figure; the root benchmarks run the same cells under b.N.
+type Cell struct {
+	// Spec is the normalized spec: Procs, Runs and N at least 1, and
+	// Threshold filled for every spec that builds a counter.
+	Spec Spec
+	// RT is the cell's runtime: the explicit flat topology (synthetic
+	// when Spec.Nodes > 1), so a cell keeps one meaning whatever the
+	// host's sysfs exposes. It is nil for snzi-stress, which runs
+	// without a dag runtime.
+	RT     *nested.Runtime
+	alg    counter.Algorithm
+	kernel func() workload.Result
+}
+
+// NewCell validates spec and builds its cell; Close releases it.
+func NewCell(spec Spec) (*Cell, error) {
+	spec.Procs, spec.Runs, spec.N = max(spec.Procs, 1), max(spec.Runs, 1), max(spec.N, 1)
+	workload.CalibrateWork()
+	c := &Cell{Spec: spec}
 	if spec.Bench == "snzi-stress" {
-		return runStress(spec)
+		depth := -1
+		if spec.Algo != "fetchadd" {
+			if _, err := fmt.Sscanf(spec.Algo, "snzi-%d", &depth); err != nil {
+				return nil, fmt.Errorf("harness: snzi-stress algo must be fetchadd or snzi-D, got %q", spec.Algo)
+			}
+		}
+		c.kernel = func() workload.Result { return workload.SnziStress(spec.Procs, depth, int(spec.N)) }
+		return c, nil
 	}
-
-	alg, err := counter.Parse(spec.Algo, threshold)
+	// The ceiling, like nested.New: the contention-relevant p of an
+	// elastic pool is how many workers can actually collide.
+	slots := max(spec.Procs, spec.MaxWorkers)
+	if spec.Threshold == 0 {
+		c.Spec.Threshold = nested.DefaultThreshold(slots)
+	}
+	alg, err := counter.Parse(spec.Algo, c.Spec.Threshold)
 	if err != nil {
-		return Measurement{}, err
+		return nil, err
 	}
 	if spec.Variant != 0 {
 		d, ok := alg.(counter.Dynamic)
 		if !ok {
-			return Measurement{}, fmt.Errorf("harness: variant bits require algo dyn, got %q", spec.Algo)
+			return nil, fmt.Errorf("harness: variant bits require algo dyn, got %q", spec.Algo)
 		}
-		switch spec.Variant {
-		case 1:
-			d.Variant = core.VariantNaiveDecOrder
-		case 2:
-			d.Variant = core.VariantArriveAtHandle
-		default:
-			d.Variant = core.VariantNaiveDecOrder | core.VariantArriveAtHandle
+		if spec.Variant&1 != 0 {
+			d.Variant |= core.VariantNaiveDecOrder
 		}
+		if spec.Variant&2 != 0 {
+			d.Variant |= core.VariantArriveAtHandle
+		}
+		d.Prune = spec.Variant&4 != 0
 		alg = d
 	}
-
-	// The burst benchmark keeps its idle gaps below the retirement
-	// threshold, so an elastic pool stays warm across the storms of one
-	// run but sheds its extra workers between measurement points.
-	const burstRetireAfter = 25 * time.Millisecond
-	// Spec.Nodes > 1 spreads the worker slots over a synthetic
-	// multi-node topology (the fanin-numa real-scheduler study); the
-	// default is the explicit flat topology, so the measurement is not
-	// at the mercy of what the runner's sysfs happens to expose.
-	slots := max(spec.Procs, spec.MaxWorkers)
 	topo := topology.Flat(slots)
 	if spec.Nodes > 1 {
 		topo = topology.Synthetic(spec.Nodes, (slots+spec.Nodes-1)/spec.Nodes)
@@ -342,95 +191,115 @@ func Run(spec Spec) (Measurement, error) {
 		Algorithm:   alg, Seed: spec.Seed,
 		Topology: topo,
 	})
-	defer rt.Close()
-
-	one := func() workload.Result {
-		switch spec.Bench {
-		case "fanin", "fanin-numa":
-			// fanin-numa is plain fanin measured under the spec's
-			// topology: the figure's axis is Nodes, not the workload.
-			return workload.Fanin(rt, spec.N)
-		case "fanin-work":
-			return workload.FaninWork(rt, spec.N, spec.WorkNs)
-		case "indegree2":
-			return workload.Indegree2(rt, spec.N)
-		case "phase-shift":
-			return workload.PhaseShift(rt, spec.N)
-		case "zipf":
-			return workload.ZipfHotKey(rt, spec.N, zipfKeys, zipfSkew)
-		case "burst":
-			ceiling := spec.MaxWorkers
-			if ceiling < spec.Procs {
-				ceiling = spec.Procs
-			}
-			return workload.Burst(rt, workload.BurstConfig{
-				Leaves: spec.N, Storms: 4, Lanes: 2 * ceiling,
-				Gap: 2 * time.Millisecond,
-			})
-		default:
-			panic(fmt.Sprintf("harness: unknown bench %q", spec.Bench))
-		}
-	}
+	c.RT, c.alg = rt, alg
 	switch spec.Bench {
-	case "fanin", "fanin-work", "fanin-numa", "indegree2", "phase-shift", "zipf", "burst":
+	case "fanin", "fanin-numa", "fanin-work":
+		// fanin-numa is plain fanin measured under the spec's
+		// topology: the figure's axis is Nodes, not the workload.
+		c.kernel = func() workload.Result { return workload.FaninWork(rt, spec.N, spec.WorkNs) }
+	case "indegree2":
+		c.kernel = func() workload.Result { return workload.Indegree2(rt, spec.N) }
+	case "phase-shift":
+		c.kernel = func() workload.Result { return workload.PhaseShift(rt, spec.N) }
+	case "zipf":
+		c.kernel = func() workload.Result { return workload.ZipfHotKey(rt, spec.N, zipfKeys, zipfSkew) }
+	case "burst":
+		cfg := workload.BurstConfig{Leaves: spec.N, Storms: 4, Lanes: 2 * slots, Gap: 2 * time.Millisecond}
+		c.kernel = func() workload.Result { return workload.Burst(rt, cfg) }
 	default:
-		return Measurement{}, fmt.Errorf("harness: unknown bench %q", spec.Bench)
+		rt.Close()
+		return nil, fmt.Errorf("harness: unknown bench %q", spec.Bench)
 	}
+	return c, nil
+}
 
-	one() // warmup
-	sc := rt.Scheduler()
-	st0 := sc.Stats()
-	var prom0, dem0 uint64
-	if pr, ok := alg.(counter.PromotionReporter); ok {
-		prom0 = pr.Promotions()
+// Run executes one repetition of the cell's kernel.
+func (c *Cell) Run() workload.Result { return c.kernel() }
+
+// Close releases the cell's runtime.
+func (c *Cell) Close() {
+	if c.RT != nil {
+		c.RT.Close()
 	}
-	if dr, ok := alg.(counter.DemotionReporter); ok {
-		dem0 = dr.Demotions()
+}
+
+// Tally is a reading of a cell's cumulative event counts; two
+// readings bracket a measurement (see Sub). Steals split by victim
+// locality (on a flat topology every steal is local). Promotions is
+// the "which algorithm did adaptive settle on" statistic; the batched
+// frontend's ledger (CounterFlushes, CounterLocalIncs) and Demotions
+// stay 0 without batching.
+type Tally struct {
+	Steals, LocalSteals, RemoteSteals uint64
+	CounterFlushes, CounterLocalIncs  uint64
+	Promotions, Demotions             uint64
+}
+
+// Tally reads the cell's counts now (all 0 for snzi-stress).
+func (c *Cell) Tally() Tally {
+	if c.RT == nil {
+		return Tally{}
 	}
+	st := c.RT.Scheduler().Stats()
+	t := Tally{st.Steals, st.LocalSteals, st.RemoteSteals, st.CounterFlushes, st.CounterLocalIncs, 0, 0}
+	if pr, ok := c.alg.(counter.PromotionReporter); ok {
+		t.Promotions = pr.Promotions()
+	}
+	if dr, ok := c.alg.(counter.DemotionReporter); ok {
+		t.Demotions = dr.Demotions()
+	}
+	return t
+}
+
+// Sub returns the counts accumulated between reading u and reading t.
+func (t Tally) Sub(u Tally) Tally {
+	return Tally{t.Steals - u.Steals, t.LocalSteals - u.LocalSteals, t.RemoteSteals - u.RemoteSteals,
+		t.CounterFlushes - u.CounterFlushes, t.CounterLocalIncs - u.CounterLocalIncs,
+		t.Promotions - u.Promotions, t.Demotions - u.Demotions}
+}
+
+// Run executes one Spec: a warmup run followed by Spec.Runs measured
+// runs on a fresh cell.
+func Run(spec Spec) (Measurement, error) {
+	c, err := NewCell(spec)
+	if err != nil {
+		return Measurement{}, err
+	}
+	defer c.Close()
+	spec = c.Spec
+	c.Run() // warmup
+	// Deltas against the warmup: the stats sinks are shared across
+	// every run on this runtime.
+	t0 := c.Tally()
 	times := make([]float64, 0, spec.Runs)
 	var last workload.Result
 	peak := 0
 	for i := 0; i < spec.Runs; i++ {
-		last = one()
+		last = c.Run()
 		times = append(times, last.Elapsed.Seconds())
-		if last.Workers > peak {
-			peak = last.Workers
-		}
+		peak = max(peak, last.Workers)
 	}
 	sum := stats.Summarize(times)
-	// Per-core throughput divides by the workers that were actually
-	// available: the fixed pool's size, or the elastic pool's observed
-	// peak.
-	cores := max(spec.Procs, peak)
-	st := sc.Stats()
 	m := Measurement{
-		Spec:             spec,
-		Seconds:          sum,
-		CounterOps:       last.CounterOps,
-		Vertices:         last.Vertices,
-		IncounterNodes:   last.FinalNodes,
-		Steals:           st.Steals - st0.Steals,
-		LocalSteals:      st.LocalSteals - st0.LocalSteals,
-		RemoteSteals:     st.RemoteSteals - st0.RemoteSteals,
-		CounterFlushes:   st.CounterFlushes - st0.CounterFlushes,
-		CounterLocalIncs: st.CounterLocalIncs - st0.CounterLocalIncs,
-		OpsPerSecPerCore: float64(last.CounterOps) / sum.Mean / float64(cores),
+		Spec:           spec,
+		Seconds:        sum,
+		CounterOps:     last.CounterOps,
+		Vertices:       last.Vertices,
+		IncounterNodes: last.FinalNodes,
+		Tally:          c.Tally().Sub(t0),
+		// Per-core throughput divides by the workers that were
+		// actually available: the fixed pool's size, or the elastic
+		// pool's observed peak.
+		OpsPerSecPerCore: float64(last.CounterOps) / sum.Mean / float64(max(spec.Procs, peak)),
 		PeakWorkers:      peak,
 		Caveat:           hostCaveat(),
-	}
-	if pr, ok := alg.(counter.PromotionReporter); ok {
-		// Delta against the warmup, like Steals: the stats sink is
-		// shared across every run on this runtime.
-		m.Promotions = pr.Promotions() - prom0
-	}
-	if dr, ok := alg.(counter.DemotionReporter); ok {
-		m.Demotions = dr.Demotions() - dem0
 	}
 	if spec.Bench == "burst" {
 		// Resident worker count once the load is gone: give the pool a
 		// few retirement periods to quiesce, then read what is left —
 		// the floor for a healthy elastic pool, the full size for a
 		// fixed one.
+		sc := c.RT.Scheduler()
 		deadline := time.Now().Add(10 * burstRetireAfter)
 		for sc.NumWorkers() > sc.MinWorkers() && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
@@ -443,34 +312,7 @@ func Run(spec Spec) (Measurement, error) {
 		m.Spawned = sc.SpawnedWorkers()
 		m.Retired = sc.RetiredWorkers()
 	}
-	m.Spec.Threshold = threshold
 	return m, nil
-}
-
-func runStress(spec Spec) (Measurement, error) {
-	depth := -1
-	if spec.Algo != "fetchadd" {
-		var d int
-		if _, err := fmt.Sscanf(spec.Algo, "snzi-%d", &d); err != nil {
-			return Measurement{}, fmt.Errorf("harness: snzi-stress algo must be fetchadd or snzi-D, got %q", spec.Algo)
-		}
-		depth = d
-	}
-	workload.SnziStress(spec.Procs, depth, int(spec.N)/8) // warmup
-	times := make([]float64, 0, spec.Runs)
-	var last workload.Result
-	for i := 0; i < spec.Runs; i++ {
-		last = workload.SnziStress(spec.Procs, depth, int(spec.N))
-		times = append(times, last.Elapsed.Seconds())
-	}
-	sum := stats.Summarize(times)
-	return Measurement{
-		Spec:             spec,
-		Seconds:          sum,
-		CounterOps:       last.CounterOps,
-		OpsPerSecPerCore: float64(last.CounterOps) / sum.Mean / float64(spec.Procs),
-		Caveat:           hostCaveat(),
-	}, nil
 }
 
 // hostCaveat returns the measurement-environment caveat for the
@@ -486,35 +328,45 @@ func hostCaveat() string {
 	return ""
 }
 
-// ProcsSweep returns the list of worker counts to sweep: 1..max with
-// at most 8 distinct points (all of 1..max when max ≤ 8).
-func ProcsSweep(max int) []int {
-	if max < 1 {
-		max = runtime.GOMAXPROCS(0)
+// withCaveat appends a non-empty caveat to an artifact record.
+func withCaveat(b *report.Block, caveat string) *report.Block {
+	if caveat != "" {
+		b.Out("caveat", caveat)
 	}
-	if max <= 8 {
-		out := make([]int, max)
-		for i := range out {
-			out[i] = i + 1
-		}
-		return out
-	}
-	out := []int{1}
-	step := max / 7
-	for p := step; p < max; p += step {
-		out = append(out, p)
-	}
-	return append(out, max)
+	return b
 }
 
-// Report is the output of one figure driver: formatted tables plus the
-// raw measurements behind them.
+// ProcsSweep returns the list of worker counts to sweep: strictly
+// increasing from 1 to hi with at most 8 points (all of 1..hi when
+// hi ≤ 8).
+func ProcsSweep(hi int) []int {
+	if hi < 1 {
+		hi = runtime.GOMAXPROCS(0)
+	}
+	// Past 8, a step of ⌈hi/7⌉ leaves at most 6 points strictly
+	// between 1 and hi.
+	step := 1
+	if hi > 8 {
+		step = (hi + 6) / 7
+	}
+	out := []int{1}
+	for p := max(step, 2); p < hi; p += step {
+		out = append(out, p)
+	}
+	if hi > 1 {
+		out = append(out, hi)
+	}
+	return out
+}
+
+// Report is the output of one figure driver: formatted tables plus
+// the artifact records of the points behind them.
 type Report struct {
-	Figure       string
-	Title        string
-	Tables       []*stats.Table
-	Measurements []Measurement
-	Notes        []string
+	Figure string
+	Title  string
+	Tables []*stats.Table
+	Blocks []*report.Block
+	Notes  []string
 }
 
 // Render formats the full report as text.
@@ -529,11 +381,7 @@ func (r *Report) Render() string {
 	return out
 }
 
-// Artifact renders every measurement in the artifact format.
+// Artifact renders every record in the artifact format.
 func (r *Report) Artifact() *report.Collection {
-	var c report.Collection
-	for _, m := range r.Measurements {
-		c.Add(m.Block())
-	}
-	return &c
+	return &report.Collection{Blocks: r.Blocks}
 }

@@ -172,7 +172,7 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestRunVariants(t *testing.T) {
-	for v := uint8(0); v <= 3; v++ {
+	for _, v := range []uint8{0, 1, 2, 3, 4} { // 4: pruning
 		m, err := Run(Spec{Bench: "fanin", Algo: "dyn", Variant: v, Procs: 1, N: 512, Threshold: 1, Runs: 1})
 		if err != nil {
 			t.Fatalf("variant %d: %v", v, err)
@@ -184,15 +184,19 @@ func TestRunVariants(t *testing.T) {
 }
 
 func TestProcsSweep(t *testing.T) {
-	if got := ProcsSweep(2); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ProcsSweep(2) = %v", got)
-	}
-	if got := ProcsSweep(1); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("ProcsSweep(1) = %v", got)
-	}
-	got := ProcsSweep(40)
-	if got[0] != 1 || got[len(got)-1] != 40 || len(got) > 9 {
-		t.Fatalf("ProcsSweep(40) = %v", got)
+	for hi := 1; hi <= 128; hi++ {
+		got := ProcsSweep(hi)
+		if got[0] != 1 || got[len(got)-1] != hi || len(got) > 8 {
+			t.Fatalf("ProcsSweep(%d) = %v: want 1..%d in at most 8 points", hi, got, hi)
+		}
+		if hi <= 8 && len(got) != hi {
+			t.Fatalf("ProcsSweep(%d) = %v: want every count up to 8", hi, got)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] <= got[i-1] {
+				t.Fatalf("ProcsSweep(%d) = %v: not strictly increasing", hi, got)
+			}
+		}
 	}
 	if len(ProcsSweep(0)) == 0 {
 		t.Fatal("ProcsSweep(0) empty")

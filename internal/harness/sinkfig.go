@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"repro"
-	"repro/internal/gateway"
+	"repro/internal/report"
 	"repro/internal/sink"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -43,31 +41,37 @@ func SinkCoalescing(o Options) (*Report, error) {
 	// Offered below capacity: sheds would complete no run and publish
 	// no record, muddying the ledger.
 	rate := 0.8 * float64(procs) / (float64(sinkServiceUS) * 1e-6)
-	for _, threshold := range []int{1, 8, 32, 128} {
-		o.progress("sink threshold %d (%.0f async req/s)", threshold, rate)
-		m, err := sinkStep(procs, threshold, rate, window)
-		if err != nil {
-			return nil, err
-		}
-		m.Spec.N = sinkServiceUS
-		rep.Measurements = append(rep.Measurements, m)
-	}
 	tbl := stats.NewTable(
 		fmt.Sprintf("sink (spin %dµs async, %d workers): coalescing threshold sweep", sinkServiceUS, procs),
 		"threshold", "completed", "logical writes", "backend calls", "ratio", "p50", "p99")
-	for _, m := range rep.Measurements {
-		ratio := float64(m.LogicalWrites)
-		if m.BackendCalls > 0 {
-			ratio = float64(m.LogicalWrites) / float64(m.BackendCalls)
+	for _, threshold := range []int{1, 8, 32, 128} {
+		o.progress("sink threshold %d (%.0f async req/s)", threshold, rate)
+		res, st, err := sinkStep(procs, threshold, rate, window)
+		if err != nil {
+			return nil, err
 		}
-		tbl.AddRow(
-			fmt.Sprintf("%d", m.Spec.Threshold),
-			fmt.Sprintf("%d", m.Completed),
-			fmt.Sprintf("%d", m.LogicalWrites),
-			fmt.Sprintf("%d", m.BackendCalls),
-			fmt.Sprintf("%.1f", ratio),
-			m.P50.Round(100*time.Microsecond).String(),
-			m.P99.Round(100*time.Microsecond).String())
+		ratio := float64(st.LogicalWrites)
+		if st.BackendCalls > 0 {
+			ratio = float64(st.LogicalWrites) / float64(st.BackendCalls)
+		}
+		tbl.AddRow(threshold, res.OK, st.LogicalWrites, st.BackendCalls, fmt.Sprintf("%.1f", ratio),
+			res.Latency.P50.Round(100*time.Microsecond).String(),
+			res.Latency.P99.Round(100*time.Microsecond).String())
+		// The coalescing record: async load in, the sink's
+		// write-reduction ledger out.
+		rep.Blocks = append(rep.Blocks, withCaveat(report.NewBlock().
+			In("bench", "sink").
+			In("proc", procs).
+			In("threshold", threshold).
+			In("rate", fmt.Sprintf("%.1f", res.Offered)).
+			Out("exectime", fmt.Sprintf("%.6f", res.Elapsed.Seconds())).
+			Out("nb_completed", res.OK).
+			Out("nb_logical_writes", st.LogicalWrites).
+			Out("nb_backend_calls", st.BackendCalls).
+			Out("coalesce_ratio", fmt.Sprintf("%.1f", ratio)).
+			Out("p50_ms", ms(res.Latency.P50)).
+			Out("p99_ms", ms(res.Latency.P99)).
+			Out("killed", 0), hostCaveat()))
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes,
@@ -78,28 +82,17 @@ func SinkCoalescing(o Options) (*Report, error) {
 // sinkStep measures one threshold on a fresh server: async load for
 // the window, then the sink ledger is read before the drain so the
 // final Close flush does not count against the steady-state ratio.
-func sinkStep(procs, threshold int, rate float64, window time.Duration) (Measurement, error) {
+func sinkStep(procs, threshold int, rate float64, window time.Duration) (workload.ServeResult, sink.Stats, error) {
 	s := sink.New(sink.NewRing(1<<16),
 		sink.WithThreshold(threshold), sink.WithShards(1))
-	srv := gateway.NewServer("127.0.0.1:0", gateway.Config{
-		RuntimeOptions: []repro.Option{repro.WithWorkers(procs), repro.WithSeed(1)},
-		Dispatchers:    2 * procs,
-		QueueDepth:     4 * procs,
-		Sink:           s,
-	})
-	if err := srv.Listen(); err != nil {
-		return Measurement{}, err
+	url, stop, err := StartServer(procs, s)
+	if err != nil {
+		return workload.ServeResult{}, sink.Stats{}, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx) }()
-	defer func() {
-		cancel()
-		<-served
-	}()
+	defer stop()
 
 	res := workload.Uniform(workload.ServeConfig{
-		URL:      "http://" + srv.Addr(),
+		URL:      url,
 		Template: "spin",
 		N:        sinkServiceUS,
 		Timeout:  time.Minute,
@@ -109,23 +102,7 @@ func sinkStep(procs, threshold int, rate float64, window time.Duration) (Measure
 		Duration: window,
 	})
 	if res.Errors > 0 {
-		return Measurement{}, fmt.Errorf("harness: sink step at threshold %d: %d request errors", threshold, res.Errors)
+		return res, sink.Stats{}, fmt.Errorf("harness: sink step at threshold %d: %d request errors", threshold, res.Errors)
 	}
-	st := s.Stats()
-	return Measurement{
-		Spec:          Spec{Bench: "sink", Algo: "adaptive", Procs: procs, Threshold: uint64(threshold), Runs: 1, Seed: 1},
-		Seconds:       stats.Summarize([]float64{res.Elapsed.Seconds()}),
-		OfferedRate:   res.Offered,
-		Throughput:    res.Throughput(),
-		ShedRate:      res.ShedRate(),
-		Sent:          res.Sent,
-		Completed:     res.OK,
-		Shed:          res.Shed,
-		P50:           res.Latency.P50,
-		P95:           res.Latency.P95,
-		P99:           res.Latency.P99,
-		LogicalWrites: st.LogicalWrites,
-		BackendCalls:  st.BackendCalls,
-		Caveat:        hostCaveat(),
-	}, nil
+	return res, s.Stats(), nil
 }

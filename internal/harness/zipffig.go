@@ -17,7 +17,7 @@ const (
 	zipfSkew = 1.2
 )
 
-// sharedRMWsPerOp folds the batched frontend's coalescing ledger into
+// SharedRMWsPerOp folds the batched frontend's coalescing ledger into
 // the figure's headline metric: shared RMWs per counter operation.
 // Every operation the frontend did not buffer costs (at least) one
 // shared RMW, every buffered unit costs none, and every flush
@@ -25,8 +25,9 @@ const (
 // frontend did issue — so ops − buffered + flushes, normalized per op.
 // The clamp guards the spawn path's asymmetry: a buffered spawn
 // deposits two units for one operation, so a fully batched run can
-// buffer slightly more units than it has operations.
-func sharedRMWsPerOp(ops, buffered, flushes uint64) float64 {
+// buffer slightly more units than it has operations. The zipf figure
+// and BenchmarkZipfHotKey both report it.
+func SharedRMWsPerOp(ops, buffered, flushes uint64) float64 {
 	if ops == 0 {
 		return 0
 	}
@@ -75,31 +76,24 @@ func Zipf(o Options) (*Report, error) {
 			n, zipfKeys, zipfSkew, procs),
 		"batch", "shared-RMWs/op", "promotions", "demotions", "ops/sec/core")
 	var rmwAt1, rmwAt64 float64
-	for _, b := range batches {
-		o.progress("zipf batch=%d", b)
-		m, err := Run(Spec{Bench: "zipf", Algo: fmt.Sprintf("adaptive:0:%d", b),
-			Procs: procs, N: n, Runs: o.Runs, Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		rep.Measurements = append(rep.Measurements, m)
+	err := sweep(rep, tbl, labels("%d", batches), 1, func(r, _ int) ([]interface{}, error) {
+		b := batches[r]
+		m, err := o.measure(rep, Spec{Bench: "zipf", Algo: fmt.Sprintf("adaptive:0:%d", b), Procs: procs, N: n})
 		// The ledger accumulates across the measured runs; so must the
 		// operation count it is normalized by.
 		totalOps := m.CounterOps * uint64(m.Seconds.N)
-		rmws := sharedRMWsPerOp(totalOps, m.CounterLocalIncs, m.CounterFlushes)
+		rmws := SharedRMWsPerOp(totalOps, m.CounterLocalIncs, m.CounterFlushes)
 		switch b {
 		case 1:
 			rmwAt1 = rmws
 		case 64:
 			rmwAt64 = rmws
 		}
-		tbl.AddRow(fmt.Sprintf("%d", b),
-			fmt.Sprintf("%.3f", rmws),
-			fmt.Sprintf("%d", m.Promotions),
-			fmt.Sprintf("%d", m.Demotions),
-			m.OpsPerSecPerCore)
+		return []interface{}{fmt.Sprintf("%.3f", rmws), m.Promotions, m.Demotions, m.OpsPerSecPerCore}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rep.Tables = append(rep.Tables, tbl)
 	if rmwAt1 > 0 && rmwAt64 > 0 {
 		rep.Notes = append(rep.Notes,
 			fmt.Sprintf("shared-RMWs/op reduction batch=1 → batch=64: %.1f×", rmwAt1/rmwAt64))
@@ -113,29 +107,21 @@ func Zipf(o Options) (*Report, error) {
 	if o.Quick {
 		simWorkers, simDepth, simRoots = 256, 8, 2
 	}
-	arrivals := make([]sim.Arrival, simRoots)
-	for i := range arrivals {
-		arrivals[i] = sim.Arrival{Tick: 0, Depth: simDepth}
-	}
 	simTbl := stats.NewTable(
 		fmt.Sprintf("sim %d workers (%d roots × depth %d, contention=1): collision cliff by batch",
 			simWorkers, simRoots, simDepth),
 		"batch", "max colliders/tick", "modeled misses", "counter RMWs", "buffered units")
-	for _, b := range []uint64{1, 8, 64} {
-		o.progress("zipf sim batch=%d", b)
+	simBatches := []uint64{1, 8, 64}
+	err = sweep(rep, simTbl, labels("%d", simBatches), 1, func(r, _ int) ([]interface{}, error) {
+		o.progress("zipf sim batch=%d", simBatches[r])
 		res, err := sim.Run(sim.Config{Workers: simWorkers,
-			Seed: 1, Topo: topology.Flat(simWorkers), Arrivals: arrivals,
-			PromoteContention: 1, Batch: b})
-		if err != nil {
-			return nil, err
-		}
-		simTbl.AddRow(fmt.Sprintf("%d", b),
-			fmt.Sprintf("%d", res.MaxColliders),
-			fmt.Sprintf("%d", res.CounterMisses),
-			fmt.Sprintf("%d", res.CounterRMWs),
-			fmt.Sprintf("%d", res.LocalIncs))
+			Seed: 1, Topo: topology.Flat(simWorkers), Arrivals: simArrivals(simRoots, simDepth),
+			PromoteContention: 1, Batch: simBatches[r]})
+		return []interface{}{res.MaxColliders, res.CounterMisses, res.CounterRMWs, res.LocalIncs}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rep.Tables = append(rep.Tables, simTbl)
 
 	rep.Notes = append(rep.Notes,
 		"expected shape: shared-RMWs/op ≈ 1 at batch=1 and falls roughly with the batch factor (≥4× by batch=64); the sim's modeled misses collapse the same way — the contention cliff moves (max colliders retains one residual drain-boundary flush burst)",

@@ -48,14 +48,6 @@ func Burst(rt *nested.Runtime, cfg BurstConfig) Result {
 		cfg.Lanes = 1
 	}
 	v0 := rt.Dag().VertexCount()
-	var rec func(c *nested.Ctx, n uint64)
-	rec = func(c *nested.Ctx, n uint64) {
-		if n >= 2 {
-			h := n / 2
-			c.Async(func(c *nested.Ctx) { rec(c, h) })
-			c.Async(func(c *nested.Ctx) { rec(c, h) })
-		}
-	}
 	peak := rt.Workers()
 	var busy time.Duration
 	errs := make([]error, cfg.Lanes)
@@ -69,7 +61,7 @@ func Burst(rt *nested.Runtime, cfg BurstConfig) Result {
 			wg.Add(1)
 			go func(lane int) {
 				defer wg.Done()
-				errs[lane] = rt.Run(func(c *nested.Ctx) { rec(c, cfg.Leaves) })
+				errs[lane] = rt.Run(func(c *nested.Ctx) { fanin(c, cfg.Leaves, 0) })
 			}(lane)
 		}
 		wg.Wait()

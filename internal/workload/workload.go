@@ -15,7 +15,6 @@
 //     elastic worker pool's motivating workload (a fixed big pool
 //     wastes resident workers through every gap, a fixed small pool
 //     loses storm throughput);
-//   - Fib (Figure 4): the classic parallel Fibonacci;
 //   - SnziStress (appendix C.1): the raw arrive/depart microbenchmark
 //     of the original SNZI paper's Figure 10, without a dag runtime.
 //
@@ -98,6 +97,39 @@ func mustRun(name string, err error) {
 	}
 }
 
+// measure runs body as one computation on rt and fills in what every
+// generator reports the same way: wall time, the vertices the run
+// created, the top-level finish counter's node count and the worker
+// count. The generator supplies its name, size and counter-op count.
+func measure(rt *nested.Runtime, name string, n, ops uint64, body nested.Task) Result {
+	v0 := rt.Dag().VertexCount()
+	start := time.Now()
+	final, err := rt.RunMeasured(body)
+	elapsed := time.Since(start)
+	mustRun(name, err)
+	return Result{
+		Name:       name,
+		N:          n,
+		Elapsed:    elapsed,
+		CounterOps: ops,
+		Vertices:   rt.Dag().VertexCount() - v0,
+		FinalNodes: final.NodeCount(),
+		Workers:    rt.Workers(),
+	}
+}
+
+// fanin is the Figure 6 recursion: n leaves by binary async
+// splitting, each leaf doing work units of dummy work.
+func fanin(c *nested.Ctx, n uint64, work int) {
+	if n >= 2 {
+		h := n / 2
+		c.Async(func(c *nested.Ctx) { fanin(c, h, work) })
+		c.Async(func(c *nested.Ctx) { fanin(c, h, work) })
+		return
+	}
+	Work(work)
+}
+
 // Fanin runs the Figure 6 kernel: n leaves created by recursive binary
 // async splitting, all joining at the single top-level finish.
 func Fanin(rt *nested.Runtime, n uint64) Result {
@@ -108,34 +140,11 @@ func Fanin(rt *nested.Runtime, n uint64) Result {
 // each, see Work) executed in every leaf task — the granularity study
 // of appendix C.3.
 func FaninWork(rt *nested.Runtime, n uint64, work int) Result {
-	v0 := rt.Dag().VertexCount()
-	var rec func(c *nested.Ctx, n uint64)
-	rec = func(c *nested.Ctx, n uint64) {
-		if n >= 2 {
-			h := n / 2
-			c.Async(func(c *nested.Ctx) { rec(c, h) })
-			c.Async(func(c *nested.Ctx) { rec(c, h) })
-			return
-		}
-		Work(work)
-	}
-	start := time.Now()
-	final, err := rt.RunMeasured(func(c *nested.Ctx) { rec(c, n) })
-	elapsed := time.Since(start)
-	mustRun("fanin", err)
 	name := "fanin"
 	if work > 0 {
 		name = fmt.Sprintf("fanin-work%d", work)
 	}
-	return Result{
-		Name:       name,
-		N:          n,
-		Elapsed:    elapsed,
-		CounterOps: faninOps(n),
-		Vertices:   rt.Dag().VertexCount() - v0,
-		FinalNodes: final.NodeCount(),
-		Workers:    rt.Workers(),
-	}
+	return measure(rt, name, n, faninOps(n), func(c *nested.Ctx) { fanin(c, n, work) })
 }
 
 // PhaseShift runs the contention phase-shift kernel: one top-level
@@ -156,40 +165,18 @@ func PhaseShift(rt *nested.Runtime, n uint64) Result {
 	const prologueWorkNs = 200
 	CalibrateWork()
 	prologue := n / 4
-	v0 := rt.Dag().VertexCount()
-	var rec func(c *nested.Ctx, n uint64)
-	rec = func(c *nested.Ctx, n uint64) {
-		if n >= 2 {
-			h := n / 2
-			c.Async(func(c *nested.Ctx) { rec(c, h) })
-			c.Async(func(c *nested.Ctx) { rec(c, h) })
-		}
-	}
-	start := time.Now()
-	final, err := rt.RunMeasured(func(c *nested.Ctx) {
+	return measure(rt, "phase-shift", n, 2*prologue+faninOps(n), func(c *nested.Ctx) {
 		for i := uint64(0); i < prologue; i++ {
 			c.Async(func(*nested.Ctx) { Work(prologueWorkNs) })
 		}
-		rec(c, n)
+		fanin(c, n, 0)
 	})
-	elapsed := time.Since(start)
-	mustRun("phase-shift", err)
-	return Result{
-		Name:       "phase-shift",
-		N:          n,
-		Elapsed:    elapsed,
-		CounterOps: 2*prologue + faninOps(n),
-		Vertices:   rt.Dag().VertexCount() - v0,
-		FinalNodes: final.NodeCount(),
-		Workers:    rt.Workers(),
-	}
 }
 
 // Indegree2 runs the Figure 7 kernel: the fanin shape, but each fork
 // synchronizes in its own finish block, so the computation creates one
 // dependency counter per internal node (2 increments each).
 func Indegree2(rt *nested.Runtime, n uint64) Result {
-	v0 := rt.Dag().VertexCount()
 	var rec func(c *nested.Ctx, n uint64)
 	rec = func(c *nested.Ctx, n uint64) {
 		if n >= 2 {
@@ -200,53 +187,8 @@ func Indegree2(rt *nested.Runtime, n uint64) Result {
 			})
 		}
 	}
-	start := time.Now()
-	final, err := rt.RunMeasured(func(c *nested.Ctx) { rec(c, n) })
-	elapsed := time.Since(start)
-	mustRun("indegree2", err)
-	return Result{
-		Name:       "indegree2",
-		N:          n,
-		Elapsed:    elapsed,
-		CounterOps: faninOps(n), // same async/signal counts, spread over many counters
-		Vertices:   rt.Dag().VertexCount() - v0,
-		FinalNodes: final.NodeCount(),
-		Workers:    rt.Workers(),
-	}
-}
-
-// Fib runs the Figure 4 parallel Fibonacci and returns the result
-// value along with the run measurement.
-func Fib(rt *nested.Runtime, n int) (Result, uint64) {
-	v0 := rt.Dag().VertexCount()
-	var fib func(c *nested.Ctx, n int, dest *uint64)
-	fib = func(c *nested.Ctx, n int, dest *uint64) {
-		if n <= 1 {
-			*dest = uint64(n)
-			return
-		}
-		var a, b uint64
-		c.ForkJoinThen(
-			func(c *nested.Ctx) { fib(c, n-1, &a) },
-			func(c *nested.Ctx) { fib(c, n-2, &b) },
-			func(*nested.Ctx) { *dest = a + b },
-		)
-	}
-	var out uint64
-	start := time.Now()
-	final, err := rt.RunMeasured(func(c *nested.Ctx) { fib(c, n, &out) })
-	elapsed := time.Since(start)
-	mustRun("fib", err)
-	vertices := rt.Dag().VertexCount() - v0
-	return Result{
-		Name:       fmt.Sprintf("fib(%d)", n),
-		N:          uint64(n),
-		Elapsed:    elapsed,
-		CounterOps: uint64(vertices), // ≈ one signal per vertex
-		Vertices:   vertices,
-		FinalNodes: final.NodeCount(),
-		Workers:    rt.Workers(),
-	}, out
+	// Same async/signal counts as fanin, spread over many counters.
+	return measure(rt, "indegree2", n, faninOps(n), func(c *nested.Ctx) { rec(c, n) })
 }
 
 // SnziStress reproduces the original SNZI paper's microbenchmark

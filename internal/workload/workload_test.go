@@ -140,17 +140,6 @@ func TestIndegree2Counts(t *testing.T) {
 	}
 }
 
-func TestFibWorkload(t *testing.T) {
-	rt := newRT(t, 2, nil)
-	res, val := Fib(rt, 20)
-	if val != 6765 {
-		t.Fatalf("fib(20) = %d", val)
-	}
-	if res.Vertices < 100 || res.CounterOps != uint64(res.Vertices) {
-		t.Fatalf("fib accounting: %+v", res)
-	}
-}
-
 func TestCalibration(t *testing.T) {
 	rate := CalibrateWork()
 	if rate <= 0 {
@@ -245,16 +234,5 @@ func TestResultZeroDivisionGuards(t *testing.T) {
 	r.Elapsed = time.Second
 	if r.OpsPerSecPerCore() != 0 { // workers still 0
 		t.Fatal("zero workers must not divide by zero")
-	}
-}
-
-func TestFibSingleWorkerDeterministic(t *testing.T) {
-	rt := newRT(t, 1, counter.Dynamic{Threshold: 1})
-	res, val := Fib(rt, 12)
-	if val != 144 {
-		t.Fatalf("fib(12) = %d", val)
-	}
-	if res.N != 12 || res.Name != "fib(12)" {
-		t.Fatalf("result header: %+v", res)
 	}
 }

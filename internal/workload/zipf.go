@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/nested"
 )
@@ -65,37 +64,16 @@ func ZipfHotKey(rt *nested.Runtime, n uint64, k int, skew float64) Result {
 		panic("workload: ZipfHotKey needs at least one key")
 	}
 	shares := zipfShares(n, k, skew)
-	v0 := rt.Dag().VertexCount()
-	var rec func(c *nested.Ctx, n uint64)
-	rec = func(c *nested.Ctx, n uint64) {
-		if n >= 2 {
-			h := n / 2
-			c.Async(func(c *nested.Ctx) { rec(c, h) })
-			c.Async(func(c *nested.Ctx) { rec(c, h) })
-		}
-	}
-	start := time.Now()
-	final, err := rt.RunMeasured(func(c *nested.Ctx) {
-		for _, share := range shares {
-			s := share
-			c.Async(func(c *nested.Ctx) {
-				c.Finish(func(c *nested.Ctx) { rec(c, s) })
-			})
-		}
-	})
-	elapsed := time.Since(start)
-	mustRun("zipf-hotkey", err)
 	ops := uint64(2 * k) // the per-key block asyncs against the top-level finish
 	for _, s := range shares {
 		ops += faninOps(s)
 	}
-	return Result{
-		Name:       fmt.Sprintf("zipf-hotkey-k%d", k),
-		N:          n,
-		Elapsed:    elapsed,
-		CounterOps: ops,
-		Vertices:   rt.Dag().VertexCount() - v0,
-		FinalNodes: final.NodeCount(),
-		Workers:    rt.Workers(),
-	}
+	return measure(rt, fmt.Sprintf("zipf-hotkey-k%d", k), n, ops, func(c *nested.Ctx) {
+		for _, share := range shares {
+			s := share
+			c.Async(func(c *nested.Ctx) {
+				c.Finish(func(c *nested.Ctx) { fanin(c, s, 0) })
+			})
+		}
+	})
 }
