@@ -1,51 +1,29 @@
 // Command ppopp17bench regenerates the evaluation figures of the
 // PPoPP'17 paper "Contention in Structured Concurrency" (Acar,
 // Ben-David, Rainey): Figures 8-15 of the paper and its appendices,
-// the stall-model contention experiment, and the design ablations —
-// plus three extensions beyond the paper: the contention-adaptive
-// counter ("adaptive[:K]" in every algorithm axis; Figure 8 carries an
-// adaptive series), the phase-shift experiment (-fig phase), whose
-// table includes how many counters the adaptive algorithm promoted —
-// i.e. which algorithm it settled on (also emitted as nb_promotions in
-// artifact records) — and the bursty-service experiment (-fig burst),
-// which compares fixed-min, fixed-max, and elastic worker pools on
-// alternating idle gaps and fan-out storms (throughput, peak and
-// steady resident workers, spawn/retire counts).
+// the stall-model contention experiment and the design ablations,
+// plus the extensions of this reproduction — the contention-adaptive
+// counter ("adaptive[:K[:batch]]" in every algorithm axis), the
+// phase-shift, bursty-service, gateway serving, sink coalescing,
+// chaos recovery, 1024-worker simulator and zipf hot-key experiments.
+// DESIGN.md §4 indexes every figure id.
 //
-// Figure 13 (-fig 13) runs the NUMA study on the real scheduler:
-// fanin under a flat vs synthetic multi-node topologies, exercising
-// the two-phase local-then-remote steal order and per-node vertex
-// pools, with the steal-locality split emitted as
-// nb_local_steals/nb_remote_steals. Artifact records additionally
-// carry a `caveat` output when the host exposes fewer than 2 hardware
-// threads, so readers of the JSON see the measurement limitation
-// EXPERIMENTS.md states in prose.
+// Every kernel point is a harness.Spec measured on the cell that
+// harness.NewCell builds — the same constructor the root go test
+// -bench cells use — on an explicit flat or synthetic topology, so a
+// figure point and the benchmark cell of the same Spec run the same
+// runtime and kernel. Figure 13 runs fanin under flat and synthetic
+// multi-node topologies on the real scheduler and reports the steal
+// split (nb_local_steals/nb_remote_steals). -fig serve, sink and chaos
+// drive an in-process gateway; -fig sim and the sim half of -fig zipf
+// are deterministic from their seed, and -fig stalls from its own.
 //
-// The serving experiment (-fig serve) is a further extension: it
-// boots the internal/gateway HTTP front-end over a fresh runtime and
-// drives it with the open-loop workload generator at 0.5x/1x/2x the
-// host's estimated capacity, reporting completed throughput, shed
-// rate, and p50/p95/p99 per offered-load step (artifact outputs
-// nb_sent/nb_completed/nb_shed, shed_rate, throughput_req_per_sec,
-// p50_ms/p95_ms/p99_ms).
-//
-// The sink experiment (-fig sink) drives the async v1 lifecycle —
-// open-loop async submissions polled to completion — against a
-// gateway whose run-record sink sweeps the write-coalescing threshold
-// (1, 8, 32, 128), reporting the sink's logical-writes vs
-// backend-calls ledger and the write-reduction ratio alongside
-// completion quantiles (artifact outputs nb_logical_writes,
-// nb_backend_calls, coalesce_ratio, p50_ms/p99_ms; DESIGN.md §11).
-//
-// The chaos experiment (-fig chaos) is the self-defense recovery
-// timeline of DESIGN.md §10: a gateway under steady load is handed
-// one hostile wedge-template request (busy-spins ignoring
-// cancellation) with a deadline far shorter than its spin, and the
-// per-tick table shows the arc — inject, hung-request reap (504) at
-// deadline+grace, degraded hold-down shedding 503s, recovery
-// (artifact outputs nb_reaped, nb_degraded_trips, nb_shed_degraded,
-// recover_tick). It runs on a stock production build; the injected
-// fault matrix lives in the chaostest-tagged test suite instead.
+// Each figure writes one text table per paper plot and, with -format
+// artifact, one key-value record per measured point in the format of
+// the paper's artifact (appendix D.5). Records carry a `caveat`
+// output when the host exposes fewer than 2 hardware threads, so
+// readers of the records see the limitation EXPERIMENTS.md states in
+// prose.
 //
 // Usage:
 //
@@ -58,13 +36,10 @@
 //	ppopp17bench -fig sink                # run-record sink coalescing threshold sweep
 //	ppopp17bench -fig chaos               # self-defense recovery timeline (reap/degrade/recover)
 //	ppopp17bench -fig sim                 # deterministic scheduler replay at 1024 simulated workers
+//	ppopp17bench -fig zipf -quick         # batch-threshold sweep on the hot-key skew
 //	ppopp17bench -fig stalls -quick       # contention in the stall model
 //	ppopp17bench -fig 8 -format artifact  # artifact-style result records
 //	ppopp17bench -fig 8 -out results/     # write per-figure files
-//
-// Output is one text table per figure (same rows/series as the paper's
-// plots); -format artifact additionally emits the key-value record
-// format of the paper's artifact (appendix D.5).
 package main
 
 import (

@@ -70,9 +70,8 @@ func ZipfHotKey(rt *nested.Runtime, n uint64, k int, skew float64) Result {
 	}
 	return measure(rt, fmt.Sprintf("zipf-hotkey-k%d", k), n, ops, func(c *nested.Ctx) {
 		for _, share := range shares {
-			s := share
 			c.Async(func(c *nested.Ctx) {
-				c.Finish(func(c *nested.Ctx) { fanin(c, s, 0) })
+				c.Finish(func(c *nested.Ctx) { fanin(c, share, 0) })
 			})
 		}
 	})
