@@ -5,7 +5,10 @@
 // paper-vs-measured results). Every kernel cell is a harness.Spec
 // built by harness.NewCell — the constructor the figure drivers use —
 // so a cell here and the figure point of the same Spec measure the
-// same runtime running the same kernel.
+// same runtime running the same kernel. One exception: BenchmarkBurst
+// takes only its cell's runtime and runs workload.Burst itself, with
+// the same lanes for every pool, where the burst figure's cell offers
+// each pool lanes at twice that pool's own ceiling.
 //
 // Conventions: each iteration of a benchmark executes one complete
 // workload run; the custom metric "ops/s/core" is the paper's y-axis
@@ -183,7 +186,9 @@ func BenchmarkBurst(b *testing.B) {
 	const maxW = 4
 	// Every pool is offered the same storms, lanes at twice the
 	// ceiling, so the fixed-min cell runs the elastic cell's load
-	// rather than its own pool's lane count.
+	// rather than its own pool's lane count. This is why the cell's
+	// kernel (Cell.Run, lanes at twice each pool's own ceiling) is
+	// not used here.
 	cfg := workload.BurstConfig{
 		Leaves: benchN / 16, Storms: 4, Lanes: 2 * maxW,
 		Gap: 2 * time.Millisecond,
