@@ -248,6 +248,15 @@ func (s State) Valid() bool { return s.counter != nil && s.inc != nil && s.dec !
 //
 // Increment must be the last use of s by its vertex.
 func (s State) Increment(heads bool) (left, right State) {
+	left, right, _ = s.IncrementDepth(heads)
+	return left, right
+}
+
+// IncrementDepth is Increment, additionally reporting how many
+// node-level arrives the underlying SNZI operation performed. The
+// analysis bounds this by 3 for valid sp-dag executions (Corollary
+// 4.7); the invariant tests rely on this hook.
+func (s State) IncrementDepth(heads bool) (left, right State, depth int) {
 	v := s.counter.variant
 	a, b := s.inc.Grow(heads)
 
@@ -262,39 +271,12 @@ func (s State) Increment(heads bool) (left, right State) {
 	} else {
 		d2 = b
 	}
-	d2.Arrive()
+	depth = d2.ArriveDepth()
 
 	// Claim the inherited decrement handle only after the arrive has
 	// completed (§3.3: this ordering keeps phase changes rare).
 	d1 := s.dec.Claim()
 
-	var pair *DecPair
-	if v&VariantNaiveDecOrder != 0 {
-		pair = NewDecPair(d2, d1)
-	} else {
-		pair = NewDecPair(d1, d2)
-	}
-	return State{counter: s.counter, inc: a, dec: pair},
-		State{counter: s.counter, inc: b, dec: pair}
-}
-
-// IncrementDepth is Increment, additionally reporting how many
-// node-level arrives the underlying SNZI operation performed. The
-// analysis bounds this by 3 for valid sp-dag executions (Corollary
-// 4.7); the invariant tests rely on this hook.
-func (s State) IncrementDepth(heads bool) (left, right State, depth int) {
-	v := s.counter.variant
-	a, b := s.inc.Grow(heads)
-	var d2 Handle
-	if v&VariantArriveAtHandle != 0 {
-		d2 = s.inc
-	} else if s.inc.IsLeft() {
-		d2 = a
-	} else {
-		d2 = b
-	}
-	depth = d2.ArriveDepth()
-	d1 := s.dec.Claim()
 	var pair *DecPair
 	if v&VariantNaiveDecOrder != 0 {
 		pair = NewDecPair(d2, d1)

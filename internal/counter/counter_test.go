@@ -210,9 +210,9 @@ func TestFixedTreeExposed(t *testing.T) {
 
 func TestFixedSNZISpreadsLeaves(t *testing.T) {
 	// With enough increments, a depth-3 tree should see arrives on many
-	// distinct leaves (hashing spreads them).
-	alg := FixedSNZI{Depth: 3, Instrument: true}
-	c := alg.New(1).(*fixedCounter)
+	// distinct leaves (hashing spreads them). Every arrive is still
+	// live, so a touched leaf still holds surplus.
+	c := (FixedSNZI{Depth: 3}).New(1).(*fixedCounter)
 	g := rng.NewXoshiro(11)
 	live := []State{c.RootState()}
 	for i := 0; i < 200; i++ {
@@ -222,7 +222,7 @@ func TestFixedSNZISpreadsLeaves(t *testing.T) {
 	}
 	touched := 0
 	for _, leaf := range c.leaves {
-		if leaf.OpCount() > 0 {
+		if leaf.HasSurplus() {
 			touched++
 		}
 	}

@@ -14,9 +14,8 @@ import (
 // p = 1 setting of the paper's analysis). The paper's evaluation uses
 // Threshold = 25 · cores.
 type Dynamic struct {
-	Threshold  uint64
-	Variant    core.Variant
-	Instrument bool
+	Threshold uint64
+	Variant   core.Variant
 	// Prune enables the §B space management (subtree reclamation on
 	// phase change to zero); its space guarantee holds at Threshold 1.
 	Prune bool
@@ -31,9 +30,6 @@ func (d Dynamic) String() string { return fmt.Sprintf("dyn(threshold=%d)", d.Thr
 // New implements Algorithm.
 func (d Dynamic) New(initial int) Counter {
 	opts := []core.Option{core.WithVariant(d.Variant)}
-	if d.Instrument {
-		opts = append(opts, core.WithInstrumentation())
-	}
 	if d.Prune {
 		opts = append(opts, core.WithPruning())
 	}

@@ -18,8 +18,7 @@ import (
 // enough, but it pays the full tree allocation per finish block, which
 // is what sinks it on fine-grained programs like indegree2 (Figure 10).
 type FixedSNZI struct {
-	Depth      int
-	Instrument bool
+	Depth int
 }
 
 // Name implements Algorithm, matching the artifact's naming.
@@ -27,11 +26,7 @@ func (f FixedSNZI) Name() string { return fmt.Sprintf("snzi-%d", f.Depth) }
 
 // New implements Algorithm.
 func (f FixedSNZI) New(initial int) Counter {
-	var opts []snzi.Option
-	if f.Instrument {
-		opts = append(opts, snzi.WithInstrumentation())
-	}
-	tree, leaves := snzi.NewFixedTree(initial, f.Depth, opts...)
+	tree, leaves := snzi.NewFixedTree(initial, f.Depth)
 	return &fixedCounter{tree: tree, leaves: leaves}
 }
 

@@ -31,7 +31,7 @@ func (n *Node) ArriveDepth() int { return n.arrive() }
 
 func (n *Node) arrive() int {
 	if n.parent == nil {
-		n.arriveRoot()
+		n.arriveRoot(1)
 		return 1
 	}
 
@@ -45,15 +45,15 @@ func (n *Node) arrive() int {
 	undo := 0
 	for !succ {
 		w := n.word.Load()
-		c, v := unpackCV(w)
+		c, v := UnpackCV(w)
 		switch {
 		case c >= 2: // surplus ≥ 1: plain increment, absorbed here
-			if n.cas(w, packCV(c+2, v)) {
+			if n.cas(w, PackCV(c+2, v)) {
 				succ = true
 			}
 			continue
 		case c == 0: // zero: begin a phase change by installing ½
-			if n.cas(w, packCV(1, v+1)) {
+			if n.cas(w, PackCV(1, v+1)) {
 				succ = true
 				c, v = 1, v+1
 			} else {
@@ -64,7 +64,7 @@ func (n *Node) arrive() int {
 			if d := 1 + n.parent.arrive(); d > depth {
 				depth = d
 			}
-			if !n.cas(packCV(1, v), packCV(2, v)) {
+			if !n.cas(PackCV(1, v), PackCV(2, v)) {
 				// Someone else completed the phase change; our parent
 				// arrival was superfluous and must be undone below.
 				undo++
@@ -77,29 +77,35 @@ func (n *Node) arrive() int {
 	return depth
 }
 
-func (n *Node) arriveRoot() {
+// arriveRoot adds k units to the root in one CAS and returns the
+// number of failed CAS attempts before the update landed. An arrive
+// from zero sets the announce bit and bumps the version; the indicator
+// is then set and the announce bit cleared.
+func (n *Node) arriveRoot(k uint64) (retries int) {
 	if n.tree.instr != nil {
 		n.ops.Add(1)
-		n.tree.instr.Arrives.Add(1)
+		n.tree.instr.Arrives.Add(k)
 	}
 	var neww uint64
 	for {
 		w := n.word.Load()
-		c, a, v := unpackRoot(w)
+		c, a, v := UnpackRoot(w)
 		if c == 0 {
-			neww = packRoot(1, true, v+1)
+			neww = PackRoot(k, true, v+1)
 		} else {
-			neww = packRoot(c+1, a, v)
+			neww = PackRoot(c+k, a, v)
 		}
 		if n.cas(w, neww) {
 			break
 		}
+		retries++
 	}
-	if _, a, _ := unpackRoot(neww); a {
+	if _, a, _ := UnpackRoot(neww); a {
 		n.setIndicator()
-		c, _, v := unpackRoot(neww)
-		n.cas(neww, packRoot(c, false, v))
+		c, _, v := UnpackRoot(neww)
+		n.cas(neww, PackRoot(c, false, v))
 	}
+	return retries
 }
 
 // setIndicator writes true to the root indicator. Every set bumps the
@@ -109,7 +115,7 @@ func (n *Node) arriveRoot() {
 func (n *Node) setIndicator() {
 	for {
 		w := n.ind.Load()
-		if n.ind.CompareAndSwap(w, packInd(true, indVer(w)+1)) {
+		if n.ind.CompareAndSwap(w, PackInd(true, IndVer(w)+1)) {
 			return
 		}
 	}
@@ -134,11 +140,11 @@ func (n *Node) Depart() bool {
 		}
 		for {
 			w := cur.word.Load()
-			c, v := unpackCV(w)
+			c, v := UnpackCV(w)
 			if c < 2 {
 				panic("snzi: Depart on an interior node with surplus < 1 (unbalanced depart)")
 			}
-			if cur.cas(w, packCV(c-2, v)) {
+			if cur.cas(w, PackCV(c-2, v)) {
 				if c != 2 {
 					return false // no phase change; absorbed here
 				}
@@ -153,27 +159,32 @@ func (n *Node) Depart() bool {
 		}
 		cur = cur.parent
 	}
-	return cur.departRoot()
+	zero, _ := cur.departRoot(1)
+	return zero
 }
 
-func (n *Node) departRoot() bool {
+// departRoot removes k units from the root in one CAS. It returns
+// whether this call brought the whole tree's surplus to zero and the
+// number of failed CAS attempts before the update landed.
+func (n *Node) departRoot(k uint64) (zero bool, retries int) {
 	if n.tree.instr != nil {
 		n.ops.Add(1)
-		n.tree.instr.Departs.Add(1)
+		n.tree.instr.Departs.Add(k)
 	}
 	for {
 		w := n.word.Load()
-		c, _, v := unpackRoot(w)
-		if c == 0 {
-			panic("snzi: Depart on a root with surplus 0 (unbalanced depart)")
+		c, _, v := UnpackRoot(w)
+		if c < k {
+			panic("snzi: Depart below zero at the root (unbalanced depart)")
 		}
-		if !n.cas(w, packRoot(c-1, false, v)) {
+		if !n.cas(w, PackRoot(c-k, false, v)) {
+			retries++
 			continue
 		}
-		if c >= 2 {
-			return false
+		if c > k {
+			return false, retries
 		}
-		// The count just went 1 → 0. Clear the indicator unless a
+		// The count just went k → 0. Clear the indicator unless a
 		// fresh arrive supersedes us: an arrive from zero bumps the
 		// word's version before it sets the indicator, so checking the
 		// version between the load-linked read and the conditional
@@ -181,16 +192,16 @@ func (n *Node) departRoot() bool {
 		for {
 			iw := n.ind.Load() // "LL"
 			w2 := n.word.Load()
-			if _, _, v2 := unpackRoot(w2); v2 != v {
-				return false // superseded; the arriver owns the indicator
+			if _, _, v2 := UnpackRoot(w2); v2 != v {
+				return false, retries // superseded; the arriver owns the indicator
 			}
-			if n.ind.CompareAndSwap(iw, packInd(false, indVer(iw)+1)) { // "SC"
+			if n.ind.CompareAndSwap(iw, PackInd(false, IndVer(iw)+1)) { // "SC"
 				// The whole tree is quiescent; reclaim everything below
 				// the root (§B).
 				if n.tree.prune {
 					n.pruneChildren()
 				}
-				return true
+				return true, retries
 			}
 		}
 	}

@@ -45,6 +45,9 @@ import (
 //
 // Root word layout: count (whole units) in the high 31 bits, announce
 // bit at bit 32, version in the low 32 bits.
+//
+// The layout helpers are exported so that the stall model
+// (internal/stallsim) lays out its simulated words with the same code.
 const (
 	versionBits = 32
 	versionMask = 1<<versionBits - 1
@@ -52,11 +55,15 @@ const (
 	rootCShift  = versionBits + 1
 )
 
-func packCV(c, v uint64) uint64 { return c<<versionBits | v&versionMask }
+// PackCV packs an interior node's count (in half-units) and version.
+func PackCV(c, v uint64) uint64 { return c<<versionBits | v&versionMask }
 
-func unpackCV(w uint64) (c, v uint64) { return w >> versionBits, w & versionMask }
+// UnpackCV splits an interior node's word into count and version.
+func UnpackCV(w uint64) (c, v uint64) { return w >> versionBits, w & versionMask }
 
-func packRoot(c uint64, a bool, v uint64) uint64 {
+// PackRoot packs the root's count (whole units), announce bit and
+// version.
+func PackRoot(c uint64, a bool, v uint64) uint64 {
 	w := c<<rootCShift | v&versionMask
 	if a {
 		w |= announceBit
@@ -64,7 +71,9 @@ func packRoot(c uint64, a bool, v uint64) uint64 {
 	return w
 }
 
-func unpackRoot(w uint64) (c uint64, a bool, v uint64) {
+// UnpackRoot splits the root's word into count, announce bit and
+// version.
+func UnpackRoot(w uint64) (c uint64, a bool, v uint64) {
 	return w >> rootCShift, w&announceBit != 0, w & versionMask
 }
 
@@ -96,7 +105,8 @@ type Node struct {
 	_   [8]byte // pad Node to exactly one 64-byte cache line (asserted in grow.go)
 }
 
-func packInd(b bool, ver uint64) uint64 {
+// PackInd packs the root indicator bit with its modification counter.
+func PackInd(b bool, ver uint64) uint64 {
 	w := ver << 1
 	if b {
 		w |= 1
@@ -104,8 +114,11 @@ func packInd(b bool, ver uint64) uint64 {
 	return w
 }
 
-func indValue(w uint64) bool { return w&1 != 0 }
-func indVer(w uint64) uint64 { return w >> 1 }
+// IndValue returns the indicator bit of an indicator word.
+func IndValue(w uint64) bool { return w&1 != 0 }
+
+// IndVer returns the modification counter of an indicator word.
+func IndVer(w uint64) uint64 { return w >> 1 }
 
 // Tree owns a SNZI tree: the root node plus bookkeeping shared by all
 // nodes (node counts, optional instrumentation, pruning policy).
@@ -153,8 +166,8 @@ func NewTree(initial int, opts ...Option) *Tree {
 		o(t)
 	}
 	r := &Node{tree: t, left: true}
-	r.word.Store(packRoot(uint64(initial), false, 0))
-	r.ind.Store(packInd(initial > 0, 0))
+	r.word.Store(PackRoot(uint64(initial), false, 0))
+	r.ind.Store(PackInd(initial > 0, 0))
 	t.root = r
 	t.nodes.Store(1)
 	t.allocated.Store(1)
@@ -170,7 +183,7 @@ func (t *Tree) Root() *Node { return t.root }
 // plus the initial surplus) is non-zero. It performs a single shared
 // read of the root indicator and is linearizable with respect to
 // Arrive and Depart (Ellen et al., PODC'07).
-func (t *Tree) Query() bool { return indValue(t.root.ind.Load()) }
+func (t *Tree) Query() bool { return IndValue(t.root.ind.Load()) }
 
 // NodeCount returns the number of nodes currently linked into the tree
 // (the artifact's nb_incounter_nodes statistic). Without WithPruning
@@ -221,10 +234,10 @@ func (n *Node) OpCount() uint64 { return n.ops.Load() }
 func (n *Node) Surplus() (whole int64, half bool) {
 	w := n.word.Load()
 	if n.parent == nil {
-		c, _, _ := unpackRoot(w)
+		c, _, _ := UnpackRoot(w)
 		return int64(c), false
 	}
-	c, _ := unpackCV(w)
+	c, _ := UnpackCV(w)
 	return int64(c / 2), c%2 == 1
 }
 
@@ -233,10 +246,10 @@ func (n *Node) Surplus() (whole int64, half bool) {
 func (n *Node) HasSurplus() bool {
 	w := n.word.Load()
 	if n.parent == nil {
-		c, _, _ := unpackRoot(w)
+		c, _, _ := UnpackRoot(w)
 		return c > 0
 	}
-	c, _ := unpackCV(w)
+	c, _ := UnpackCV(w)
 	return c > 0
 }
 

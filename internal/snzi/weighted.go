@@ -5,11 +5,10 @@ package snzi
 // (internal/counter's delta slots), which accumulates increments and
 // decrements worker-locally and applies the net delta to the root in a
 // single shared RMW — the VSA-style amortization of the ROADMAP's
-// batched-frontend item. The protocol is the root protocol of
-// protocol.go with the count moved by k instead of 1: the announce
-// bit, version check, and LL/SC-emulated indicator clear are
-// identical, so a weighted op linearizes exactly like k consecutive
-// unweighted ones that happen to land in one step.
+// batched-frontend item. They run the root protocol of protocol.go
+// (arriveRoot/departRoot, which Arrive and Depart call with k = 1), so
+// a weighted op linearizes exactly like k consecutive unweighted ones
+// that happen to land in one step.
 //
 // Both operations are root-only: interior nodes carry the half-unit
 // phase-change protocol, whose helping discipline is per-unit, and the
@@ -29,30 +28,7 @@ func (n *Node) ArriveRootN(k uint64) (retries int) {
 	if k == 0 {
 		panic("snzi: ArriveRootN with zero weight")
 	}
-	if n.tree.instr != nil {
-		n.ops.Add(1)
-		n.tree.instr.Arrives.Add(k)
-	}
-	var neww uint64
-	for {
-		w := n.word.Load()
-		c, a, v := unpackRoot(w)
-		if c == 0 {
-			neww = packRoot(k, true, v+1)
-		} else {
-			neww = packRoot(c+k, a, v)
-		}
-		if n.cas(w, neww) {
-			break
-		}
-		retries++
-	}
-	if _, a, _ := unpackRoot(neww); a {
-		n.setIndicator()
-		c, _, v := unpackRoot(neww)
-		n.cas(neww, packRoot(c, false, v))
-	}
-	return retries
+	return n.arriveRoot(k)
 }
 
 // DepartRootN removes k units of surplus from the root in one CAS. It
@@ -68,39 +44,5 @@ func (n *Node) DepartRootN(k uint64) (zero bool, retries int) {
 	if k == 0 {
 		panic("snzi: DepartRootN with zero weight")
 	}
-	if n.tree.instr != nil {
-		n.ops.Add(1)
-		n.tree.instr.Departs.Add(k)
-	}
-	for {
-		w := n.word.Load()
-		c, _, v := unpackRoot(w)
-		if c < k {
-			panic("snzi: DepartRootN below zero (unbalanced depart)")
-		}
-		if !n.cas(w, packRoot(c-k, false, v)) {
-			retries++
-			continue
-		}
-		if c > k {
-			return false, retries
-		}
-		// The count just went k → 0: clear the indicator unless a fresh
-		// arrive supersedes us, exactly as in departRoot (the version
-		// check between the load-linked read and the conditional store
-		// detects any arrive-from-zero).
-		for {
-			iw := n.ind.Load() // "LL"
-			w2 := n.word.Load()
-			if _, _, v2 := unpackRoot(w2); v2 != v {
-				return false, retries // superseded; the arriver owns the indicator
-			}
-			if n.ind.CompareAndSwap(iw, packInd(false, indVer(iw)+1)) { // "SC"
-				if n.tree.prune {
-					n.pruneChildren()
-				}
-				return true, retries
-			}
-		}
-	}
+	return n.departRoot(k)
 }

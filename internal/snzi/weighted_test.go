@@ -82,15 +82,21 @@ func TestWeightedRootPanics(t *testing.T) {
 }
 
 // TestWeightedRootConcurrent drains a known total surplus from many
-// goroutines mixing weights; exactly one must observe the zero.
+// goroutines mixing weights; exactly one must observe the zero. A third
+// of the goroutines move single units through Arrive/Depart instead,
+// half at the root and half at grown children whose phase changes
+// propagate to the root, so the unit and weighted paths of the one
+// root protocol race on the same root word.
 func TestWeightedRootConcurrent(t *testing.T) {
 	const (
-		goroutines = 8
+		goroutines = 12
 		rounds     = 200
 	)
 	for it := 0; it < 20; it++ {
 		tr := NewTree(0)
 		r := tr.Root()
+		left, right := r.Grow(true)
+		unit := []*Node{r, left, r, right} // goroutines 0, 3, 6, 9
 		// Pre-charge the full surplus each goroutine will depart, plus
 		// one unit the main goroutine drains last.
 		var wg sync.WaitGroup
@@ -103,7 +109,15 @@ func TestWeightedRootConcurrent(t *testing.T) {
 				defer wg.Done()
 				var localZeros, localRetries int64
 				for i := 0; i < rounds; i++ {
-					k := uint64(g%3 + 1)
+					if g%3 == 0 {
+						n := unit[g/3]
+						n.Arrive()
+						if n.Depart() {
+							localZeros++
+						}
+						continue
+					}
+					k := uint64(g%4 + 1)
 					localRetries += int64(r.ArriveRootN(k))
 					zero, ret := r.DepartRootN(k)
 					localRetries += int64(ret)

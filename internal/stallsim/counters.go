@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/memmodel"
 	"repro/internal/rng"
+	"repro/internal/snzi"
 )
 
 // SimState is a dag vertex's capability on a simulated dependency
@@ -141,7 +142,7 @@ func (c *dynCounter) RootState() SimState {
 }
 
 func (c *dynCounter) IsZero() bool {
-	return !indValue(c.tree.sim.Peek(c.tree.Root().ind))
+	return !snzi.IndValue(c.tree.sim.Peek(c.tree.Root().ind))
 }
 
 type dynState struct {
@@ -204,12 +205,12 @@ func (f FixedSNZI) build(t *Tree, alloc func(uint64) memmodel.Addr, write func(m
 			// construction, but we keep the same discipline as
 			// newChild).
 			l := &Node{tree: t, parent: n, left: true}
-			l.word = alloc(packCV(0, 0))
+			l.word = alloc(snzi.PackCV(0, 0))
 			l.children = alloc(0)
 			l.id = len(t.nodes)
 			t.nodes = append(t.nodes, l)
 			r := &Node{tree: t, parent: n, left: false}
-			r.word = alloc(packCV(0, 0))
+			r.word = alloc(snzi.PackCV(0, 0))
 			r.children = alloc(0)
 			r.id = len(t.nodes)
 			t.nodes = append(t.nodes, r)
@@ -232,7 +233,7 @@ func (c *fixedCounter) RootState() SimState {
 }
 
 func (c *fixedCounter) IsZero() bool {
-	return !indValue(c.tree.sim.Peek(c.tree.Root().ind))
+	return !snzi.IndValue(c.tree.sim.Peek(c.tree.Root().ind))
 }
 
 type fixedState struct {

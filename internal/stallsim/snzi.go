@@ -1,44 +1,13 @@
 package stallsim
 
-// This file holds the simulated SNZI tree and in-counter word layouts;
-// see doc.go for the package story.
+// This file holds the simulated SNZI tree. Its words use internal/snzi's
+// layout helpers; the arrive/depart/grow control flow is transcribed
+// from internal/snzi (see doc.go).
 
-import "repro/internal/memmodel"
-
-// Word layouts match internal/snzi: interior (count-in-half-units,
-// version), root (count, announce, version), indicator (bit, counter).
-const (
-	versionBits = 32
-	versionMask = 1<<versionBits - 1
-	announceBit = uint64(1) << versionBits
-	rootCShift  = versionBits + 1
+import (
+	"repro/internal/memmodel"
+	"repro/internal/snzi"
 )
-
-func packCV(c, v uint64) uint64       { return c<<versionBits | v&versionMask }
-func unpackCV(w uint64) (c, v uint64) { return w >> versionBits, w & versionMask }
-
-func packRoot(c uint64, a bool, v uint64) uint64 {
-	w := c<<rootCShift | v&versionMask
-	if a {
-		w |= announceBit
-	}
-	return w
-}
-
-func unpackRoot(w uint64) (c uint64, a bool, v uint64) {
-	return w >> rootCShift, w&announceBit != 0, w & versionMask
-}
-
-func packInd(b bool, ver uint64) uint64 {
-	w := ver << 1
-	if b {
-		w |= 1
-	}
-	return w
-}
-
-func indValue(w uint64) bool { return w&1 != 0 }
-func indVer(w uint64) uint64 { return w >> 1 }
 
 // Tree is a SNZI tree in the simulated memory.
 type Tree struct {
@@ -81,8 +50,8 @@ func NewTreeInEnv(e *memmodel.Env, initial uint64) *Tree {
 func newTreeWith(sim *memmodel.Sim, alloc func(uint64) memmodel.Addr, initial uint64) *Tree {
 	t := &Tree{sim: sim}
 	root := &Node{tree: t, id: 0, left: true}
-	root.word = alloc(packRoot(initial, false, 0))
-	root.ind = alloc(packInd(initial > 0, 0))
+	root.word = alloc(snzi.PackRoot(initial, false, 0))
+	root.ind = alloc(snzi.PackInd(initial > 0, 0))
 	root.children = alloc(0)
 	t.nodes = append(t.nodes, root)
 	return t
@@ -95,7 +64,7 @@ func (t *Tree) Root() *Node { return t.nodes[0] }
 func (t *Tree) NodeCount() int { return len(t.nodes) }
 
 // Query reads the root indicator (one trivial step).
-func (t *Tree) Query(e *memmodel.Env) bool { return indValue(e.Read(t.Root().ind)) }
+func (t *Tree) Query(e *memmodel.Env) bool { return snzi.IndValue(e.Read(t.Root().ind)) }
 
 // Grow returns n's children, creating them if absent and heads is
 // true; like the native version it returns (n, n) when n remains
@@ -118,7 +87,7 @@ func (t *Tree) newChild(e *memmodel.Env, parent *Node, left bool) *Node {
 	// The Allocs are scheduling points; the id must be assigned in the
 	// same uninterrupted stretch as the append or two threads reserve
 	// the same slot.
-	word := e.Alloc(packCV(0, 0))
+	word := e.Alloc(snzi.PackCV(0, 0))
 	children := e.Alloc(0)
 	c := &Node{tree: t, parent: parent, left: left, word: word, children: children}
 	c.id = len(t.nodes)
@@ -141,15 +110,15 @@ func (n *Node) Arrive(e *memmodel.Env) int {
 	undo := 0
 	for !succ {
 		w := e.Read(n.word)
-		c, v := unpackCV(w)
+		c, v := snzi.UnpackCV(w)
 		switch {
 		case c >= 2:
-			if e.CAS(n.word, w, packCV(c+2, v)) {
+			if e.CAS(n.word, w, snzi.PackCV(c+2, v)) {
 				succ = true
 			}
 			continue
 		case c == 0:
-			if e.CAS(n.word, w, packCV(1, v+1)) {
+			if e.CAS(n.word, w, snzi.PackCV(1, v+1)) {
 				succ = true
 				c, v = 1, v+1
 			} else {
@@ -160,7 +129,7 @@ func (n *Node) Arrive(e *memmodel.Env) int {
 			if d := 1 + n.parent.Arrive(e); d > depth {
 				depth = d
 			}
-			if !e.CAS(n.word, packCV(1, v), packCV(2, v)) {
+			if !e.CAS(n.word, snzi.PackCV(1, v), snzi.PackCV(2, v)) {
 				undo++
 			}
 		}
@@ -175,25 +144,25 @@ func (n *Node) arriveRoot(e *memmodel.Env) {
 	var neww uint64
 	for {
 		w := e.Read(n.word)
-		c, a, v := unpackRoot(w)
+		c, a, v := snzi.UnpackRoot(w)
 		if c == 0 {
-			neww = packRoot(1, true, v+1)
+			neww = snzi.PackRoot(1, true, v+1)
 		} else {
-			neww = packRoot(c+1, a, v)
+			neww = snzi.PackRoot(c+1, a, v)
 		}
 		if e.CAS(n.word, w, neww) {
 			break
 		}
 	}
-	if _, a, _ := unpackRoot(neww); a {
+	if _, a, _ := snzi.UnpackRoot(neww); a {
 		for {
 			iw := e.Read(n.ind)
-			if e.CAS(n.ind, iw, packInd(true, indVer(iw)+1)) {
+			if e.CAS(n.ind, iw, snzi.PackInd(true, snzi.IndVer(iw)+1)) {
 				break
 			}
 		}
-		c, _, v := unpackRoot(neww)
-		e.CAS(n.word, neww, packRoot(c, false, v))
+		c, _, v := snzi.UnpackRoot(neww)
+		e.CAS(n.word, neww, snzi.PackRoot(c, false, v))
 	}
 }
 
@@ -204,11 +173,11 @@ func (n *Node) Depart(e *memmodel.Env) bool {
 	for cur.parent != nil {
 		for {
 			w := e.Read(cur.word)
-			c, v := unpackCV(w)
+			c, v := snzi.UnpackCV(w)
 			if c < 2 {
 				panic("stallsim: depart on interior node with surplus < 1")
 			}
-			if e.CAS(cur.word, w, packCV(c-2, v)) {
+			if e.CAS(cur.word, w, snzi.PackCV(c-2, v)) {
 				if c != 2 {
 					return false
 				}
@@ -223,11 +192,11 @@ func (n *Node) Depart(e *memmodel.Env) bool {
 func (n *Node) departRoot(e *memmodel.Env) bool {
 	for {
 		w := e.Read(n.word)
-		c, _, v := unpackRoot(w)
+		c, _, v := snzi.UnpackRoot(w)
 		if c == 0 {
 			panic("stallsim: depart on root with surplus 0")
 		}
-		if !e.CAS(n.word, w, packRoot(c-1, false, v)) {
+		if !e.CAS(n.word, w, snzi.PackRoot(c-1, false, v)) {
 			continue
 		}
 		if c >= 2 {
@@ -236,10 +205,10 @@ func (n *Node) departRoot(e *memmodel.Env) bool {
 		for {
 			iw := e.Read(n.ind)
 			w2 := e.Read(n.word)
-			if _, _, v2 := unpackRoot(w2); v2 != v {
+			if _, _, v2 := snzi.UnpackRoot(w2); v2 != v {
 				return false
 			}
-			if e.CAS(n.ind, iw, packInd(false, indVer(iw)+1)) {
+			if e.CAS(n.ind, iw, snzi.PackInd(false, snzi.IndVer(iw)+1)) {
 				return true
 			}
 		}

@@ -1,10 +1,12 @@
 package stallsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/memmodel"
 	"repro/internal/rng"
+	"repro/internal/snzi"
 )
 
 func simAlgorithms() []SimAlgorithm {
@@ -209,53 +211,108 @@ func TestSimGrowTailsReturnsSelf(t *testing.T) {
 	}
 }
 
-// TestSimMatchesNativeOnRandomOps runs the same random balanced
-// arrive/depart schedule through the simulated tree and checks the
-// query transitions match the running balance.
+// TestSimMatchesNativeOnRandomOps is the differential check of the
+// transcribed protocol. One seeded single-threaded sequence of
+// grow/arrive/depart runs on a native snzi.Tree and on a model Tree,
+// each op applied through the handles the tree's own Grow returned.
+// Nodes are compared by position (the left/right path from the root),
+// so a model that returns or links its children differently diverges
+// here even while every query stays right. After every op the trees
+// must have the same shape and the same surplus at every node, and
+// every arrive depth, every depart's zero report and both queries
+// must agree.
 func TestSimMatchesNativeOnRandomOps(t *testing.T) {
+	type handle struct {
+		native *snzi.Node
+		model  *Node
+	}
+	native := snzi.NewTree(0)
 	sim := memmodel.New(3)
-	tree := NewTree(sim, 0)
+	model := NewTree(sim, 0)
 	g := rng.NewXoshiro(77)
-	mismatch := false
+	var failure string
 	sim.Spawn(func(e *memmodel.Env) {
-		nodes := []*Node{tree.Root()}
-		var pending []*Node
-		for i := 0; i < 300; i++ {
+		nodes := []handle{{native.Root(), model.Root()}}
+		var pending []handle
+		for i := 0; i < 600 && failure == ""; i++ {
 			if len(pending) > 0 && g.Uint64n(2) == 0 {
 				j := int(g.Uint64n(uint64(len(pending))))
-				n := pending[j]
+				h := pending[j]
 				pending[j] = pending[len(pending)-1]
 				pending = pending[:len(pending)-1]
-				n.Depart(e)
+				if nz, mz := h.native.Depart(), h.model.Depart(e); nz != mz {
+					failure = fmt.Sprintf("op %d: depart zero report native %v, model %v", i, nz, mz)
+				}
 			} else {
-				n := nodes[g.Uint64n(uint64(len(nodes)))]
-				if g.Uint64n(4) == 0 {
-					l, r := n.Grow(e, true)
-					if l != r {
-						nodes = append(nodes, l, r)
-						n = l
+				h := nodes[g.Uint64n(uint64(len(nodes)))]
+				if g.Uint64n(3) == 0 {
+					_, _, grown := h.native.Children()
+					heads := g.Uint64n(4) != 0
+					nl, nr := h.native.Grow(heads)
+					ml, mr := h.model.Grow(e, heads)
+					if nl != nr {
+						if !grown {
+							nodes = append(nodes, handle{nl, ml}, handle{nr, mr})
+						}
+						h = handle{nl, ml}
+						if g.Uint64n(2) == 0 {
+							h = handle{nr, mr}
+						}
 					}
 				}
-				n.Arrive(e)
-				pending = append(pending, n)
+				if nd, md := h.native.ArriveDepth(), h.model.Arrive(e); nd != md {
+					failure = fmt.Sprintf("op %d: arrive depth native %d, model %d", i, nd, md)
+				}
+				pending = append(pending, h)
 			}
-			if tree.Query(e) != (len(pending) > 0) {
-				mismatch = true
-				return
+			if nq, mq := native.Query(), model.Query(e); nq != mq || nq != (len(pending) > 0) {
+				failure = fmt.Sprintf("op %d: query native %v, model %v, %d pending", i, nq, mq, len(pending))
 			}
-		}
-		for len(pending) > 0 {
-			pending[len(pending)-1].Depart(e)
-			pending = pending[:len(pending)-1]
-		}
-		if tree.Query(e) {
-			mismatch = true
+			if d := diffTrees(native.Root(), model.Root(), "root"); d != "" && failure == "" {
+				failure = fmt.Sprintf("op %d: %s", i, d)
+			}
 		}
 	})
 	sim.Run()
-	if mismatch {
-		t.Fatal("simulated tree diverged from reference balance")
+	if failure != "" {
+		t.Fatal(failure)
 	}
+	if native.NodeCount() < 50 {
+		t.Fatalf("sequence grew only %d nodes", native.NodeCount())
+	}
+}
+
+// diffTrees walks a native and a model subtree in step and describes
+// the first position whose shape or surplus differs, or returns "".
+// The model's words are decoded with internal/snzi's layout helpers.
+func diffTrees(n *snzi.Node, m *Node, path string) string {
+	sim := m.tree.sim
+	w := sim.Peek(m.word)
+	var whole int64
+	var half bool
+	if m.parent == nil {
+		c, _, _ := snzi.UnpackRoot(w)
+		whole = int64(c)
+	} else {
+		c, _ := snzi.UnpackCV(w)
+		whole, half = int64(c/2), c%2 == 1
+	}
+	if nw, nh := n.Surplus(); nw != whole || nh != half {
+		return fmt.Sprintf("%s surplus native (%d, ½=%v), model (%d, ½=%v)", path, nw, nh, whole, half)
+	}
+	nl, nr, grown := n.Children()
+	cw := sim.Peek(m.children)
+	if grown != (cw != 0) {
+		return fmt.Sprintf("%s children native %v, model %v", path, grown, cw != 0)
+	}
+	if !grown {
+		return ""
+	}
+	li, ri := unpackChildren(cw)
+	if d := diffTrees(nl, m.tree.nodes[li], path+".L"); d != "" {
+		return d
+	}
+	return diffTrees(nr, m.tree.nodes[ri], path+".R")
 }
 
 func TestIndegree2CompletesAllAlgorithms(t *testing.T) {
