@@ -192,6 +192,7 @@ func New(cfg Config) *Runtime {
 		dopts = append(dopts, spdag.WithRecorder(cfg.Recorder))
 	}
 	r := &Runtime{sched: s, dag: spdag.New(alg, dopts...)}
+	s.CountVertices(r.dag)
 	s.Start()
 	return r
 }

@@ -337,6 +337,19 @@ func New(p int, opts ...Option) *Scheduler {
 	return s
 }
 
+// CountVertices counts d's vertices created by this scheduler's
+// workers on a word per worker slot instead of d's shared word (see
+// spdag.Dag.CountOn); d.VertexCount sums them. Call it before Start,
+// for at most one dag: a slot's word survives retire and respawn like
+// its stats block.
+func (s *Scheduler) CountVertices(d *spdag.Dag) {
+	ctxs := make([]*spdag.ExecContext, len(s.workers))
+	for i, w := range s.workers {
+		ctxs[i] = &w.ctx
+	}
+	d.CountOn(ctxs...)
+}
+
 // Topology returns the locality map the scheduler was built with
 // (after auto-detection: never the zero value).
 func (s *Scheduler) Topology() topology.Topology { return s.topo }
@@ -731,7 +744,7 @@ func (w *worker) run() {
 		// Count before Execute: the final vertex's body releases Run's
 		// waiter, so a count taken after it would lag Run's return. A
 		// long body is still progress to the watchdog via markExec.
-		w.stats.executed.Add(1)
+		w.stats.executed.Store(w.stats.executed.Load() + 1) // owner-only word
 		w.markExec()
 		v.Execute(&w.ctx)
 		w.doneExec()

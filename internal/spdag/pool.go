@@ -143,24 +143,11 @@ func grab(ctx *ExecContext) *Vertex {
 	return v
 }
 
-// reset clears every field of a recycled vertex before reuse. It must
-// mention every field of Vertex; newVertex reassigns the identity
-// fields on top.
-func (v *Vertex) reset() {
-	v.dag = nil
-	v.ctr = nil
-	v.st = nil
-	v.fin = nil
-	v.body = nil
-	v.payload = nil
-	v.comp = nil
-	v.ctx = nil
-	v.id = 0
-	v.pinned = false
-	v.dead.Store(false)
-	v.scheduled.Store(false)
-	v.injNext.Store(nil)
-}
+// reset clears every field of a recycled vertex before reuse with one
+// plain store; newVertex reassigns the identity fields on top. The
+// atomic fields need no fenced stores here: no other goroutine can
+// reach a vertex between its recycle and its reuse (DESIGN.md §5).
+func (v *Vertex) reset() { *v = Vertex{} }
 
 // DrainFree hands every vertex of the context's freelist — and the
 // freelist's own backing array — back to the overflow pool it draws

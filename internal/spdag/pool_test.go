@@ -1,6 +1,7 @@
 package spdag
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/counter"
@@ -11,6 +12,34 @@ import (
 // structural operations by hand.
 func newTestCtx(seed uint64) *ExecContext {
 	return &ExecContext{G: rng.NewXoshiro(seed)}
+}
+
+// TestResetZeroesEveryField populates every field of a vertex, then
+// checks that reset leaves none behind. The first loop fails when a
+// field is added to Vertex without being populated here.
+func TestResetZeroesEveryField(t *testing.T) {
+	d := New(counter.FetchAdd{})
+	ctr := d.alg.New(1)
+	v := &Vertex{dag: d, ctr: ctr, st: ctr.RootState(), body: func(*Vertex) {},
+		payload: 1, comp: &Computation{}, ctx: newTestCtx(1), pinned: true, id: 7}
+	v.fin = v
+	v.dead.Store(true)
+	v.scheduled.Store(true)
+	v.injNext.Store(v)
+	rv := reflect.ValueOf(v).Elem()
+	for i := range rv.NumField() {
+		if rv.Field(i).IsZero() {
+			t.Fatalf("test does not populate Vertex.%s", rv.Type().Field(i).Name)
+		}
+	}
+	v.reset()
+	if !rv.IsZero() {
+		for i := range rv.NumField() {
+			if !rv.Field(i).IsZero() {
+				t.Errorf("reset left Vertex.%s set", rv.Type().Field(i).Name)
+			}
+		}
+	}
 }
 
 // TestSpawnSignalCycleAllocsDyn asserts the hot-path budget of the

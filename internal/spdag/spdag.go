@@ -70,7 +70,15 @@ type ExecContext struct {
 	// Home keeps every counter on its unbuffered path.
 	Home *counter.Home
 
-	free       []*Vertex     // recycled vertices, owner-only (see pool.go)
+	free []*Vertex // recycled vertices, owner-only (see pool.go)
+
+	// created counts the vertices countFor created under this context
+	// (see Dag.CountOn). Only the owner writes it, with a plain load and
+	// store: no RMW, and no line another worker writes. It sits beside
+	// free, which the owner already dirties on every vertex.
+	created  atomic.Int64
+	countFor *Dag
+
 	flushReady func(tag any) // cached FlushCounters callback (one alloc per worker)
 	flushedRdy int           // vertices readied by the current FlushAll, owner-only
 }
@@ -78,10 +86,9 @@ type ExecContext struct {
 // FlushCounters drains every pending counter delta this context's Home
 // holds, scheduling any finish vertices whose counters reached zero,
 // and returns how many vertices that readied. Schedulers must call it
-// before backing off when out of local work — a buffered decrement's
-// zero report only surfaces at a flush, and under private deques a
-// parked owner's deque is unreachable, so parking with a productive
-// flush pending would strand the readied vertex.
+// before backing off when out of local work: a buffered decrement's
+// zero report surfaces only at a flush of the worker's own Home, so
+// parking with pending deltas would strand the readied finish vertex.
 func (ec *ExecContext) FlushCounters() int {
 	if ec.Home == nil || !ec.Home.Active() {
 		return 0
@@ -112,7 +119,8 @@ type Dag struct {
 	schedule func(*Vertex)
 	rec      Recorder
 	ids      atomic.Uint64
-	vertices atomic.Int64
+	vertices atomic.Int64   // vertices created outside the contexts in ctxs
+	ctxs     []*ExecContext // contexts counting this dag's vertices (CountOn)
 }
 
 // Option configures a Dag.
@@ -145,8 +153,36 @@ func New(alg counter.Algorithm, opts ...Option) *Dag {
 // Algorithm returns the dependency-counter algorithm in use.
 func (d *Dag) Algorithm() counter.Algorithm { return d.alg }
 
-// VertexCount returns the number of vertices created so far.
-func (d *Dag) VertexCount() int64 { return d.vertices.Load() }
+// VertexCount returns the number of vertices created so far: the
+// dag's own word plus the word of every context wired with CountOn.
+// Each word only grows and is read once, in turn, so the sum is exact
+// once the runs that created the vertices have returned and never
+// decreases while runs are in flight; it is not a point-in-time
+// snapshot across workers.
+func (d *Dag) VertexCount() int64 {
+	n := d.vertices.Load()
+	for _, ec := range d.ctxs {
+		n += ec.created.Load()
+	}
+	return n
+}
+
+// CountOn moves the count of this dag's vertices created under each
+// given context off the dag's shared word and onto a word of the
+// context's own, which VertexCount adds back. A scheduler wires its
+// worker contexts this way before any of them runs (see
+// sched.Scheduler.CountVertices). A context counts for one dag only;
+// vertices created under any other context (Make on a submitting
+// goroutine, inline contexts) stay on the dag's word.
+func (d *Dag) CountOn(ctxs ...*ExecContext) {
+	for _, ec := range ctxs {
+		if ec.countFor != nil {
+			panic("spdag: CountOn: context already counts vertices for a dag")
+		}
+		ec.countFor = d
+	}
+	d.ctxs = append(d.ctxs, ctxs...)
+}
 
 // Vertex is a node of the sp-dag: one fine-grained thread of control.
 type Vertex struct {
@@ -206,7 +242,11 @@ func (d *Dag) newVertex(ctx *ExecContext, fin *Vertex, st counter.State, n int) 
 	if n > 0 {
 		v.ctr = d.alg.New(n)
 	}
-	d.vertices.Add(1)
+	if ctx != nil && ctx.countFor == d {
+		ctx.created.Store(ctx.created.Load() + 1) // owner-only word, see CountOn
+	} else {
+		d.vertices.Add(1)
+	}
 	if d.rec != nil {
 		v.id = d.ids.Add(1)
 		d.rec.OnVertex(v)

@@ -74,6 +74,35 @@ func TestMakeAndTrivialRun(t *testing.T) {
 	}
 }
 
+// TestCountOnSplitsTheCount: vertices created under a context wired
+// with CountOn land on the context's word, the rest on the dag's, and
+// VertexCount sums both. A context counts for one dag only.
+func TestCountOnSplitsTheCount(t *testing.T) {
+	d := New(counter.FetchAdd{})
+	wired, other := newTestCtx(1), newTestCtx(2)
+	d.CountOn(wired)
+	root, _ := d.Make() // on the dag word: no context
+	root.ctx = wired
+	v, _ := root.Spawn() // two on the wired context's word
+	v.ctx = other
+	v.Spawn() // two on the dag word: other is not wired
+	if got := wired.created.Load(); got != 2 {
+		t.Fatalf("wired context counted %d vertices, want 2", got)
+	}
+	if got := d.vertices.Load(); got != 4 {
+		t.Fatalf("dag word counted %d vertices, want 4", got)
+	}
+	if got := d.VertexCount(); got != 6 {
+		t.Fatalf("VertexCount = %d, want 6", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CountOn accepted a context that already counts for another dag")
+		}
+	}()
+	New(counter.FetchAdd{}).CountOn(wired)
+}
+
 func TestChainOrdering(t *testing.T) {
 	d := New(counter.Dynamic{Threshold: 1})
 	root, final := d.Make()

@@ -231,9 +231,14 @@ func (r *Runtime) Workers() int { return r.n.Workers() }
 
 // Stats is a snapshot of runtime counters (exact when quiescent).
 type Stats struct {
-	Workers  int    // live scheduler workers (an idle elastic runtime quiesces to its floor)
-	Parked   int    // workers currently parked (idle runtime: Parked == Workers)
-	Vertices int64  // dag vertices created so far
+	Workers int // live scheduler workers (an idle elastic runtime quiesces to its floor)
+	Parked  int // workers currently parked (idle runtime: Parked == Workers)
+	// Vertices counts the dag vertices created so far: a sum of
+	// per-worker counts plus the dag's own word (vertices created
+	// outside a worker). It is exact once the counted runs have
+	// returned and never decreases while they are in flight, but it
+	// is not a point-in-time snapshot across workers.
+	Vertices int64
 	Steals   uint64 // successful steals (== LocalSteals + RemoteSteals)
 	Executed uint64 // vertices executed
 	// LocalSteals and RemoteSteals split Steals by victim locality
