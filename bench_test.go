@@ -15,7 +15,10 @@
 // (counter operations per second per worker), and the stall-model
 // benchmarks report "stalls/op", the contention quantity of Theorem
 // 4.9. bench/cells.txt lists every cell name; CI diffs it against
-// the bench smoke run.
+// the bench smoke run. Timings here are read, not gated: the
+// allocation budgets of the Fig08, PhaseShift, ZipfHotKey, Burst and
+// Fig13 cells, and the exact sim cells, are held by tier-1 tests in
+// internal/harness (TestCellAllocBudgets, TestSimCells).
 package repro_test
 
 import (
@@ -149,7 +152,7 @@ func BenchmarkPhaseShift(b *testing.B) {
 			reportFanin(b, spec, last, d)
 			if spec.Algo == "adaptive" {
 				// Per iteration, not the raw total: a cumulative value
-				// would make the committed baseline depend on -benchtime.
+				// would depend on -benchtime.
 				b.ReportMetric(float64(d.Promotions)/float64(b.N), "promotions")
 			}
 		})
@@ -177,11 +180,11 @@ func BenchmarkZipfHotKey(b *testing.B) {
 // a figure of the paper): alternating idle gaps and concurrent
 // fan-out storms, on a pool fixed at the floor, fixed at the ceiling,
 // and elastic between the two. The ops/s metric (total, not per-core —
-// the three pools deliberately run different worker counts) is what
-// benchgate gates: the elastic cell must hold the fixed-max cell's
-// throughput while the peak/steady metrics show it growing to the
-// ceiling during storms and renting back down after (the direct
-// elastic-vs-fixed-max ratio is asserted in elastic_test.go).
+// the three pools deliberately run different worker counts) shows the
+// elastic cell holding the fixed-max cell's throughput while the
+// peak-workers metric shows it growing to the ceiling during storms.
+// The ratio is not asserted anywhere: elastic_test.go pins only that
+// the burst spawns, completes and quiesces.
 func BenchmarkBurst(b *testing.B) {
 	const maxW = 4
 	// Every pool is offered the same storms, lanes at twice the
@@ -203,7 +206,7 @@ func BenchmarkBurst(b *testing.B) {
 			rt := newCell(b, c.spec).RT
 			// Aggregate over all iterations (not the last run alone):
 			// a single 4-storm run is short enough that scheduler noise
-			// would dominate the gated metric.
+			// would dominate the metric.
 			var ops uint64
 			var busy time.Duration
 			peak := 0
@@ -224,12 +227,12 @@ func BenchmarkBurst(b *testing.B) {
 // serve figure's in-process HTTP server over a fixed 2-worker runtime,
 // driven open-loop by internal/workload's Uniform generator. The
 // steady cell offers a fixed 100 req/s (well under capacity on any
-// host), so its gated ops/s is rate-bound and host-stable; the
-// overload cell offers 600 req/s against a shallow queue, so completed
-// throughput is capacity-bound and the shed-rate metric
-// (presence-gated) shows admission control actually refusing the
-// excess — that metric vanishing from a cell means the bounded queue
-// came unwired.
+// host), so its ops/s is rate-bound; the overload cell offers 600
+// req/s against a shallow queue, so completed throughput is
+// capacity-bound and the shed-rate metric shows admission control
+// refusing the excess. The per-request allocation budget lives in
+// internal/gateway (TestRequestAllocBudgets), where it does not depend
+// on the host's OK/shed mix.
 func BenchmarkServe(b *testing.B) {
 	workload.CalibrateWork()
 	const serviceUS = 5000
@@ -284,9 +287,8 @@ func BenchmarkServe(b *testing.B) {
 // force-fail it (ErrHung / 504) at deadline+grace, waits out the
 // degraded hold-down, and proves the recovered dispatcher slot by
 // completing a clean request. ns/op is therefore dominated by the
-// configured fuses, not by code speed; what benchgate gates is the
-// presence-gated "reaped" metric (exactly 1 per iteration) — it
-// vanishing or moving off 1 means the reap path came unwired.
+// configured fuses, not by code speed; the benchmark fails unless
+// every iteration reaped exactly one request.
 func BenchmarkChaosRecovery(b *testing.B) {
 	workload.CalibrateWork()
 	reg := gateway.Builtins()
@@ -330,12 +332,12 @@ func BenchmarkChaosRecovery(b *testing.B) {
 // (not a figure of the paper; `ppopp17bench -fig sink` is the full
 // threshold sweep): a fan-in of concurrent publishers, each completed
 // run one Publish, against the default threshold. ns/op is the
-// publish fast path (a shard-buffer append); the gated
-// "coalesce-ratio" metric is logical writes per backend call, which
-// the default threshold of 32 must hold at ≥ 16 — it collapsing
-// toward 1 means coalescing came unwired and every run is paying a
-// backend round-trip. The floor is asserted here (not just gated)
-// once the fan-in is large enough for the ratio to be meaningful.
+// publish fast path (a shard-buffer append); the "coalesce-ratio"
+// metric is logical writes per backend call, which the default
+// threshold of 32 must hold at ≥ 16 — it collapsing toward 1 means
+// coalescing came unwired and every run is paying a backend
+// round-trip. The floor is asserted here once the fan-in is large
+// enough for the ratio to be meaningful.
 func BenchmarkSinkCoalescing(b *testing.B) {
 	s := sink.New(sink.NewRing(1 << 16))
 	var seq atomic.Uint64
@@ -412,9 +414,8 @@ func BenchmarkFig12SnziRepro(b *testing.B) {
 // scheduler: fanin under a flat topology vs a synthetic 2-node
 // topology, with the counter algorithm pinned explicitly per cell
 // (nothing follows the runtime default). Beyond ops/s/core, each cell
-// reports the per-iteration local/remote steal split — the mechanism
-// benchgate gates: the locality counters vanishing from a cell means
-// the topology layer came unwired.
+// reports the per-iteration local/remote steal split, the mechanism
+// the figure is about.
 func BenchmarkFig13Topology(b *testing.B) {
 	var cells []cell
 	for nodes, topo := range []string{"flat", "2-node"} {
@@ -539,17 +540,14 @@ func BenchmarkAblationPruning(b *testing.B) {
 // BenchmarkSim — the discrete-event scheduler replay (`ppopp17bench
 // -fig sim`; internal/sim): the sim figure's 1024-worker cells
 // (harness.SimCells), the scheduler's decision logic stepped far
-// beyond any runner. ns/op is the simulator's own speed and is not
-// gated; every reported metric is a pure function of (seed, config) —
-// identical on every run, every host, every GOMAXPROCS — so CI gates
-// these cells with benchgate -exact-metrics against
-// bench/baseline_sim.txt: any drift, even by one steal, means the
-// modeled decision logic changed and the baseline must be regenerated
-// in the same commit that changed it.
+// beyond any runner. ns/op is the simulator's own speed; every
+// reported metric is a pure function of (seed, config) — identical on
+// every run, every host, every GOMAXPROCS — and internal/harness
+// TestSimCells pins the same cells exactly against a golden file.
 func BenchmarkSim(b *testing.B) {
 	for _, c := range harness.SimCells() {
-		// The chase-lev/ prefix names the stealing protocol the gated
-		// baseline cells were cut on; it is kept so they stay comparable.
+		// The chase-lev/ prefix names the scheduler's stealing
+		// protocol; it is kept so the cell names stay stable.
 		b.Run("chase-lev/"+c.Name, func(b *testing.B) {
 			cfg := c.Config
 			var res sim.Result

@@ -318,9 +318,8 @@ func Run(spec Spec) (Measurement, error) {
 // hostCaveat returns the measurement-environment caveat for the
 // current host, or "" when there is none. The GOMAXPROCS < 2 case is
 // the EXPERIMENTS.md "measured on 1 hardware thread" caveat; putting
-// it in every artifact record means benchgate logs and artifact
-// readers see it next to the numbers instead of having to know the
-// prose.
+// it in every artifact record means artifact readers see it next to
+// the numbers instead of having to know the prose.
 func hostCaveat() string {
 	if runtime.GOMAXPROCS(0) < 2 {
 		return "measured on 1 hardware thread: multi-worker cells are oversubscribed (interleaving, not parallel contention)"

@@ -354,6 +354,6 @@ func checkGolden(t *testing.T, golden string, got []byte) {
 		t.Fatalf("missing golden (run with UPDATE_GOLDEN=1 to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("figure shapes changed (UPDATE_GOLDEN=1 regenerates; commit the diff deliberately)\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Fatalf("%s changed (UPDATE_GOLDEN=1 regenerates; commit the diff deliberately)\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }

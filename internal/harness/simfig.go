@@ -65,7 +65,7 @@ type SimCell struct {
 
 // SimCells returns the sim figure's full-scale 1024-worker cells —
 // the flat and 8-node fan-outs and the elastic pool — which
-// BenchmarkSim gates exactly against bench/baseline_sim.txt.
+// TestSimCells pins exactly and BenchmarkSim times.
 func SimCells() []SimCell {
 	s := simScaleFor(false)
 	return []SimCell{{"flat", s.fanout(s.big, 1)}, {"8-node", s.fanout(s.big, 8)}, {"elastic", s.elastic()}}
@@ -79,8 +79,8 @@ func SimCells() []SimCell {
 // number here is a pure function of the config, so the tables read as
 // scheduling shape (how many steals resolved locally, when the
 // adaptive counter promoted, how far the elastic pool moved), not
-// timing, and the benchmark built on them (BenchmarkSim) is gated
-// cell-by-cell with exact equality rather than ratios.
+// timing, and the full-scale cells (SimCells) are pinned cell by cell
+// with exact equality rather than ratios.
 func Sim(o Options) (*Report, error) {
 	o = o.fill()
 	rep := &Report{Figure: "Sim", Title: "Discrete-event scheduler replay: 1000+ simulated workers, deterministic"}

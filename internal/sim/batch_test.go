@@ -3,9 +3,9 @@ package sim_test
 // Tests for the simulator's batched-frontend model (Config.Batch):
 //
 //   - Batch 0 and Batch 1 are byte-identical to each other and differ
-//     from the unbatched simulator in nothing — the exact-gate golden
-//     baselines (bench/baseline_sim.txt) stay valid with the field at
-//     its zero value.
+//     from the unbatched simulator in nothing — the exact golden files
+//     (internal/harness/testdata/simcells.golden) stay valid with the
+//     field at its zero value.
 //   - Batch ≥ 2 is deterministic: equal Configs give equal traces and
 //     equal Results.
 //   - Batching is accounting-only: every pre-batch Result field (the

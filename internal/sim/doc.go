@@ -14,8 +14,8 @@
 // parallelism. The simulator turns those claims into *testable
 // properties*: it schedules 1000+ simulated workers on any host, its
 // entire run is a function of (Config, Seed), and its outputs are
-// integers that can be gated exactly (bench/baseline_sim.txt,
-// cmd/benchgate -exact-metrics), not ratios with slop.
+// integers that can be pinned exactly (internal/harness TestSimCells,
+// the golden trace here), not ratios with slop.
 //
 // What it models, and how faithfully:
 //

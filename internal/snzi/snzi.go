@@ -222,12 +222,6 @@ func (n *Node) Children() (left, right *Node, ok bool) {
 	return c.Left, c.Right, true
 }
 
-// OpCount returns the number of non-trivial operations (arrive and
-// depart steps) that have been applied to this node. It is maintained
-// only on instrumented trees and is used by the Theorem 4.9 tests
-// ("at most 6 operations ever access a node").
-func (n *Node) OpCount() uint64 { return n.ops.Load() }
-
 // Surplus returns the node's current surplus as a pair (whole, half):
 // whole full units plus one extra half unit if half is true. It is a
 // diagnostic snapshot, not linearizable with concurrent updates.
