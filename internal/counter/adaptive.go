@@ -2,6 +2,7 @@ package counter
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/rng"
@@ -78,8 +79,6 @@ type AdaptiveStats struct {
 	// Demotions counts flips back out of buffering mode after a calm
 	// streak (batched mode only).
 	Demotions atomic.Uint64
-	// Counters counts counters created.
-	Counters atomic.Uint64
 }
 
 // PromotionReporter is implemented by algorithms that migrate between
@@ -152,9 +151,6 @@ func (a Adaptive) batch() uint64 {
 
 // New implements Algorithm.
 func (a Adaptive) New(initial int) Counter {
-	if a.Stats != nil {
-		a.Stats.Counters.Add(1)
-	}
 	c := &adaptiveCounter{contention: a.contention(), grow: a.Threshold, batch: a.batch(), stats: a.Stats}
 	c.cell.Store(int64(initial))
 	c.fa.c = c
@@ -162,6 +158,82 @@ func (a Adaptive) New(initial int) Counter {
 		c.promote() // the cell holds only initial: the pin's release cannot drain it
 	}
 	return c
+}
+
+// Renew returns a counter of alg holding initial: spent itself, reset
+// in place, when it is an adaptive counter of alg's configuration that
+// never promoted (see reusable), and alg.New(initial) otherwise (spent
+// may be nil). The caller must hold spent's last reference: the finish
+// vertex it counted for has run, so no operation can reach it again
+// (DESIGN.md §5). The sp-dag runtime calls it for the counter a
+// recycled finish vertex carries, so the default counter's finish
+// blocks allocate nothing in steady state.
+func Renew(spent Counter, alg Algorithm, initial int) Counter {
+	if c, ok := spent.(*adaptiveCounter); ok && c.renew(alg, initial) {
+		return c
+	}
+	return alg.New(initial)
+}
+
+// Park marks a spent counter whose storage waits for Renew, at the
+// point Renew's caller takes its last reference. Built with
+// -tags nestedchecks it poisons a reusable counter until Renew resets
+// it — any operation that reaches it meanwhile panics (see live);
+// otherwise it does nothing.
+func Park(spent Counter) {
+	if !checks {
+		return
+	}
+	if c, ok := spent.(*adaptiveCounter); ok && c.reusable() {
+		if !c.cell.CompareAndSwap(0, parkedCell) {
+			panic("counter: adaptive counter parked twice")
+		}
+	}
+}
+
+// parkedCell is the cell value of a parked counter under
+// -tags nestedchecks: no live counter can reach it.
+const parkedCell = math.MinInt64
+
+// live panics, under -tags nestedchecks, when an operation reaches a
+// counter parked for reuse; it compiles to nothing otherwise.
+func (c *adaptiveCounter) live() {
+	if checks && c.cell.Load() == parkedCell {
+		panic("counter: operation on an adaptive counter parked for reuse")
+	}
+}
+
+// reusable reports whether a spent counter's storage may back a new
+// counter: its cell has drained (or is parked), no in-counter was ever
+// installed and the buffering flag was never set. Promoted counters
+// are left to the collector (DESIGN.md §5). A promoted unbatched
+// counter reports zero through its in-counter, which the cell's
+// last-reference argument does not cover. A batched counter can report
+// zero through one worker's flush while another worker's slot still
+// holds it with delta == anchor, and that slot's later flush writes
+// the counter's calm streak, mode word and miss count (observeFlush,
+// demote). Both fields are final on a drained counter: anchor is never
+// cleared and is installed only while the cell is non-zero, and mode
+// never returns to modeCell.
+func (c *adaptiveCounter) reusable() bool {
+	n := c.cell.Load()
+	return (n == 0 || checks && n == parkedCell) && c.anchor.Load() == nil && c.mode.Load() == modeCell
+}
+
+// renew resets a reusable counter as a fresh one of alg holding
+// initial, with one store of the whole struct like a recycled vertex's
+// reset, and reports whether it did. Only a counter New would build
+// the same way qualifies: same tuning and stats sink, and not eager
+// (an eager counter is promoted from birth).
+func (c *adaptiveCounter) renew(alg Algorithm, initial int) bool {
+	a, ok := alg.(Adaptive)
+	if !ok || a.Eager || a.Stats != c.stats || a.contention() != c.contention ||
+		a.Threshold != c.grow || a.batch() != c.batch || !c.reusable() {
+		return false
+	}
+	*c = adaptiveCounter{contention: c.contention, grow: c.grow, batch: c.batch, stats: c.stats, fa: adFAState{c}}
+	c.cell.Store(int64(initial))
+	return true
 }
 
 // adaptiveCounter is one finish block's counter. The hot word (cell)
@@ -186,21 +258,34 @@ type adaptiveCounter struct {
 	batch      uint64 // flush threshold; ≤ 1 disables batching and demotion
 	stats      *AdaptiveStats
 	fa         adFAState // the one state every vertex of this counter shares
-	// buffering is the batched mode flag (batch ≥ 2 only): while set,
-	// operations with a Home in scope buffer there. It is advisory — an
-	// operation acting on a stale value merely buffers, or does not,
-	// against the same cell — so no soundness argument reads it.
-	buffering atomic.Bool
+	// mode is the batched mode word (batch ≥ 2 only): while it reads
+	// modeBuffering, operations with a Home in scope buffer there. It is
+	// advisory — an operation acting on a stale value merely buffers, or
+	// does not, against the same cell — so no soundness argument reads
+	// it, except reuse: a counter never returns to modeCell, so renew
+	// can tell that no Home slot ever held it.
+	mode atomic.Uint32
 	// calm counts consecutive calm flushes — the windowed decay signal
 	// behind demotion (see observeFlush).
 	calm atomic.Uint32
 }
+
+// The values of adaptiveCounter.mode.
+const (
+	modeCell      uint32 = iota // never buffered
+	modeBuffering               // promoted: buffer with a Home in scope
+	modeDemoted                 // buffered once, back on the cell now
+)
+
+// buffering reports whether the batched mode flag is set.
+func (c *adaptiveCounter) buffering() bool { return c.mode.Load() == modeBuffering }
 
 // IsZero implements Counter: the composite is zero only when the cell
 // has drained and, if an in-counter is installed, it has too. While the
 // cell is non-zero the anchor keeps the in-counter non-zero as well, so
 // the two reads cannot race into a spurious zero.
 func (c *adaptiveCounter) IsZero() bool {
+	c.live()
 	if c.cell.Load() != 0 {
 		return false
 	}
@@ -211,6 +296,7 @@ func (c *adaptiveCounter) IsZero() bool {
 // NodeCount implements Counter: the cell plus, after promotion, the
 // in-counter's SNZI nodes.
 func (c *adaptiveCounter) NodeCount() int64 {
+	c.live()
 	if a := c.anchor.Load(); a != nil {
 		return 1 + a.owner.NodeCount()
 	}
@@ -218,13 +304,17 @@ func (c *adaptiveCounter) NodeCount() int64 {
 }
 
 // RootState implements Counter: the shared state.
-func (c *adaptiveCounter) RootState() State { return &c.fa }
+func (c *adaptiveCounter) RootState() State {
+	c.live()
+	return &c.fa
+}
 
 // Promoted reports whether the counter is currently promoted: an
 // in-counter is installed, or the buffering flag is set (diagnostics
 // and tests).
 func (c *adaptiveCounter) Promoted() bool {
-	return c.anchor.Load() != nil || c.buffering.Load()
+	c.live()
+	return c.anchor.Load() != nil || c.buffering()
 }
 
 // Misses returns the cumulative cell CAS-failure count (diagnostics).
@@ -289,7 +379,7 @@ func ContentionStep(misses uint64, colliders int, contention uint64) (uint64, bo
 // i.e. never for a caller holding a live obligation of its own.
 func (c *adaptiveCounter) promote() (zero bool) {
 	if c.batch > 1 {
-		if c.buffering.CompareAndSwap(false, true) {
+		if m := c.mode.Load(); m != modeBuffering && c.mode.CompareAndSwap(m, modeBuffering) {
 			c.calm.Store(0)
 			c.countPromotion()
 		}
@@ -406,8 +496,9 @@ func (s *adFAState) Increment(g *rng.Xoshiro256ss) (State, State) {
 // failure is precisely the contention signal promotion feeds on.
 func (s *adFAState) IncrementHomed(g *rng.Xoshiro256ss, h *Home, tag any) (State, State) {
 	c := s.c
+	c.live()
 	chaosPromote(c) // fault seam: no-op unless built with -tags chaostest
-	if h != nil && c.buffering.Load() {
+	if h != nil && c.buffering() {
 		h.buffer(c, 1, tag) // an increment cannot report zero
 		return s, s
 	}
@@ -429,7 +520,8 @@ func (s *adFAState) Decrement() bool { return s.DecrementHomed(nil, nil) }
 // DecrementHomed implements HomedState; see IncrementHomed.
 func (s *adFAState) DecrementHomed(h *Home, tag any) bool {
 	c := s.c
-	if h != nil && c.buffering.Load() {
+	c.live()
+	if h != nil && c.buffering() {
 		return h.buffer(c, -1, tag)
 	}
 	for {

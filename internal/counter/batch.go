@@ -237,6 +237,7 @@ func (h *Home) flushSlot(s *slot) (zero bool, tag any) {
 // counter absorbing a storm must not demote between bursts on the
 // strength of a few quiet boundary windows that happened to interleave.
 func (c *adaptiveCounter) observeFlush(retries int, full bool) {
+	c.live()
 	if retries > 0 || full {
 		c.calm.Store(0)
 	} else if c.calm.Add(1) >= demoteCalm {
@@ -248,7 +249,7 @@ func (c *adaptiveCounter) observeFlush(retries int, full bool) {
 // back to the cell directly, slots still open on other workers settle
 // at their next flush, and re-promotion needs a fresh contention burst.
 func (c *adaptiveCounter) demote() {
-	if !c.buffering.CompareAndSwap(true, false) {
+	if !c.mode.CompareAndSwap(modeBuffering, modeDemoted) {
 		return
 	}
 	c.misses.Store(0)

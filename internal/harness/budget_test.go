@@ -55,9 +55,12 @@ func TestSimCells(t *testing.T) {
 }
 
 // TestCellAllocBudgets holds the kernel cells of the root benchmarks
-// BenchmarkFig08Fanin, BenchmarkPhaseShift, BenchmarkZipfHotKey,
-// BenchmarkBurst and BenchmarkFig13Topology to their allocation
-// budgets. Each cell is built by NewCell from its benchmark's spec at
+// BenchmarkFig08Fanin, BenchmarkFig10Indegree2, BenchmarkPhaseShift,
+// BenchmarkZipfHotKey, BenchmarkBurst and BenchmarkFig13Topology to
+// their allocation budgets. The indegree2 cells are the default
+// counter's finish path: their budget is the kernel's own three
+// closures per finish block, the counter being renewed rather than
+// allocated (one more per block would read ≈ 65,550). Each cell is built by NewCell from its benchmark's spec at
 // seed 1 and measured over one run after a warm one. AllocsPerRun pins
 // GOMAXPROCS to 1 while it measures, so the counts do not follow the
 // host's parallelism; a p=2 cell still runs two workers.
@@ -86,6 +89,8 @@ func TestCellAllocBudgets(t *testing.T) {
 		{"Fig08Fanin/dyn/p=2", Spec{Bench: "fanin", Algo: "dyn", Procs: 2, N: n}, 33421},
 		{"Fig08Fanin/adaptive/p=1", Spec{Bench: "fanin", Algo: "adaptive", Procs: 1, N: n}, 32777},
 		{"Fig08Fanin/adaptive/p=2", Spec{Bench: "fanin", Algo: "adaptive", Procs: 2, N: n}, 32780},
+		{"Indegree2/adaptive/p=1", Spec{Bench: "indegree2", Algo: "adaptive", Procs: 1, N: n}, 49162},
+		{"Indegree2/adaptive/p=2", Spec{Bench: "indegree2", Algo: "adaptive", Procs: 2, N: n}, 49191},
 		{"PhaseShift/fetchadd/p=1", Spec{Bench: "phase-shift", Algo: "fetchadd", Procs: 1, N: n}, 33198},
 		{"PhaseShift/fetchadd/p=2", Spec{Bench: "phase-shift", Algo: "fetchadd", Procs: 2, N: n}, 33252},
 		{"PhaseShift/dyn/p=1", Spec{Bench: "phase-shift", Algo: "dyn", Procs: 1, N: n}, 35442},

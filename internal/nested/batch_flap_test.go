@@ -119,7 +119,5 @@ func batchedFlapThroughRuntime(t *testing.T) {
 	if got := stats.Demotions.Load(); got == 0 {
 		t.Fatal("calm waves produced no demotions: the decay path never fired in the runtime")
 	}
-	t.Logf("promotions=%d demotions=%d counters=%d",
-		stats.Promotions.Load(), stats.Demotions.Load(),
-		stats.Counters.Load())
+	t.Logf("promotions=%d demotions=%d", stats.Promotions.Load(), stats.Demotions.Load())
 }

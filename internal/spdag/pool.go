@@ -30,14 +30,26 @@ package spdag
 // stale reads of a dead vertex (diagnostics, tests inspecting a
 // finished dag) keep seeing its final state until the storage is
 // actually handed to a new vertex.
+//
+// A recycled finish vertex still carries its dependency counter, and
+// the counter travels with it: when the vertex's storage backs a new
+// finish vertex, counter.Renew resets the old counter in place if it
+// never promoted, instead of allocating one. The tail of Execute is a
+// last-reference point for the counter too — its zero report came
+// before the vertex could run, and no operation reaches a drained,
+// never-promoted counter (DESIGN.md §5). So that plain vertices do not
+// consume counter-carrying ones (and drop their counters), each
+// context keeps two freelists: fins for vertices with a counter, free
+// for the rest.
 
 import (
 	"sync"
 
+	"repro/internal/counter"
 	"repro/internal/rng"
 )
 
-// freeListCap bounds the per-context freelist; beyond it, recycled
+// freeListCap bounds each per-context freelist; beyond it, recycled
 // vertices overflow into the shared pool so one worker executing the
 // whole dag (p = 1, or a victim-heavy steal pattern) cannot hoard
 // every vertex of the computation.
@@ -123,23 +135,39 @@ func newInlineContext() *ExecContext {
 	return &ic.ctx
 }
 
-// grab takes a recycled vertex from the context freelist (worker-local,
+// grab takes a recycled vertex from the context freelists (worker-local,
 // no synchronization), falling back to the context's node pool and
-// then the process-wide pool.
-func grab(ctx *ExecContext) *Vertex {
+// then the process-wide pool. A finish vertex (one that needs a
+// counter) prefers the list of vertices that carry one, every other
+// vertex the plain list; grab returns the counter the vertex carried
+// (nil if none) for newVertex to renew.
+func grab(ctx *ExecContext, finish bool) (*Vertex, counter.Counter) {
 	var v *Vertex
 	switch {
-	case ctx != nil && len(ctx.free) > 0:
-		n := len(ctx.free)
-		v = ctx.free[n-1]
-		ctx.free[n-1] = nil
-		ctx.free = ctx.free[:n-1]
-	case ctx != nil && ctx.Pool != nil:
+	case ctx == nil:
+		v = vertexPool.Get().(*Vertex)
+	case finish && len(ctx.fins) > 0:
+		v = pop(&ctx.fins)
+	case len(ctx.free) > 0:
+		v = pop(&ctx.free)
+	case len(ctx.fins) > 0:
+		v = pop(&ctx.fins)
+	case ctx.Pool != nil:
 		v = ctx.Pool.get(ctx.Node)
 	default:
 		v = vertexPool.Get().(*Vertex)
 	}
+	spent := v.ctr
 	v.reset()
+	return v, spent
+}
+
+// pop removes the last vertex of a non-empty freelist.
+func pop(list *[]*Vertex) *Vertex {
+	n := len(*list) - 1
+	v := (*list)[n]
+	(*list)[n] = nil
+	*list = (*list)[:n]
 	return v
 }
 
@@ -149,26 +177,32 @@ func grab(ctx *ExecContext) *Vertex {
 // reach a vertex between its recycle and its reuse (DESIGN.md §5).
 func (v *Vertex) reset() { *v = Vertex{} }
 
-// DrainFree hands every vertex of the context's freelist — and the
-// freelist's own backing array — back to the overflow pool it draws
+// DrainFree hands every vertex of the context's freelists — and the
+// freelists' own backing arrays — back to the overflow pool it draws
 // from: the owner node's pool on a scheduler context (so a retiring
 // worker's vertices stay home for the slot's node, ready for the next
 // worker spawned there), or the process-wide shared pool otherwise. A
 // retiring scheduler worker calls it so a dormant slot does not hoard
-// up to freeListCap vertices that other workers could be reusing.
+// up to freeListCap vertices per list that other workers could be
+// reusing.
 // Owner-only, like every freelist operation; after DrainFree the
 // context is still usable (grab falls back to the pools and recycle
 // re-grows the list lazily).
 func (ctx *ExecContext) DrainFree() {
-	for i, v := range ctx.free {
-		ctx.free[i] = nil
+	ctx.drain(ctx.free)
+	ctx.drain(ctx.fins)
+	ctx.free, ctx.fins = nil, nil
+}
+
+func (ctx *ExecContext) drain(list []*Vertex) {
+	for i, v := range list {
+		list[i] = nil
 		if ctx.Pool != nil {
 			ctx.Pool.put(ctx.Node, v)
 		} else {
 			vertexPool.Put(v)
 		}
 	}
-	ctx.free = nil
 }
 
 // Recycle returns a dead vertex to the worker-local pool of the
@@ -193,9 +227,15 @@ func (v *Vertex) recycle() {
 	if v.pinned {
 		return
 	}
+	counter.Park(v.ctr) // poisons it under -tags nestedchecks until renewed
 	ctx := v.ctx
-	if ctx != nil && len(ctx.free) < freeListCap {
+	switch {
+	case ctx == nil:
+	case v.ctr == nil && len(ctx.free) < freeListCap:
 		ctx.free = append(ctx.free, v)
+		return
+	case v.ctr != nil && len(ctx.fins) < freeListCap:
+		ctx.fins = append(ctx.fins, v)
 		return
 	}
 	if ctx != nil && ctx.Pool != nil {

@@ -3,6 +3,7 @@ package spdag
 import (
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/counter"
 	"repro/internal/rng"
@@ -217,5 +218,108 @@ func TestPinnedVerticesAreNotRecycled(t *testing.T) {
 	}
 	if final.Counter() == nil {
 		t.Fatal("final's counter unreadable after execution")
+	}
+}
+
+// TestVertexLayout pins the vertex under 128 bytes: past that the
+// allocator moves it from the 128-byte size class to the 144-byte one,
+// and every pooled vertex grows by 16 bytes.
+func TestVertexLayout(t *testing.T) {
+	if s := unsafe.Sizeof(Vertex{}); s > 128 {
+		t.Fatalf("sizeof(Vertex) = %d, want ≤ 128 (the 128-byte size class)", s)
+	}
+}
+
+// TestFinishCounterTravelsWithVertex: the counter of a recycled finish
+// vertex backs the next finish vertex created under the same context,
+// so a warm chain-signal cycle on the default counter allocates
+// nothing, where fetchadd allocates its counter each time (see
+// TestChainSignalCycleAllocs).
+func TestFinishCounterTravelsWithVertex(t *testing.T) {
+	d := New(counter.NewAdaptive(0, 25))
+	u, _ := d.Make()
+	u.ctx = newTestCtx(1)
+	cycle := func() {
+		v, w := u.Chain()
+		v.Signal() // readies w
+		v.Recycle()
+		u.Recycle() // u died in the Chain; it carries its spent counter
+		u = w
+	}
+	cycle()
+	cycle()
+	spent := u.ctx.fins[len(u.ctx.fins)-1].ctr
+	cycle()
+	if u.ctr != spent {
+		t.Fatal("the next finish vertex did not reuse the recycled finish vertex's counter")
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(2000, cycle); allocs != 0 {
+		t.Fatalf("warm chain-signal cycle allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestFinishCounterLiveUntilExecute runs trees of nested finish blocks
+// on one context, so finish counters are recycled and renewed between
+// and within runs, and every finish body reads its own counter: it is
+// the vertex's until its Execute returns. Under -tags nestedchecks a
+// counter parked too early (at its zero report, say) panics on that
+// read, and the panic surfaces as the computation's error.
+func TestFinishCounterLiveUntilExecute(t *testing.T) {
+	var stack []*Vertex
+	d := New(counter.NewAdaptive(0, 25), WithScheduler(func(v *Vertex) { stack = append(stack, v) }))
+	ctx := &ExecContext{G: rng.NewXoshiro(1), Push: func(v *Vertex) { stack = append(stack, v) }}
+	finishes := 0
+	seen := map[counter.Counter]bool{}
+	finishBody := func(self *Vertex) {
+		c := self.Counter()
+		if !c.IsZero() || c.NodeCount() != 1 {
+			panic("finish vertex runs with a live or promoted counter")
+		}
+		finishes++
+		seen[c] = true
+	}
+	var tree func(m int) Body
+	tree = func(m int) Body {
+		return func(u *Vertex) {
+			if m < 2 {
+				return
+			}
+			v, w := u.Chain()
+			w.SetBody(finishBody)
+			v.SetBody(func(self *Vertex) {
+				a, b := self.Spawn()
+				a.SetBody(tree(m / 2))
+				b.SetBody(tree(m / 2))
+				a.TrySchedule()
+				b.TrySchedule()
+			})
+			v.TrySchedule()
+		}
+	}
+	const leaves, runs = 64, 4
+	for range runs {
+		root, final := d.Make()
+		root.SetBody(tree(leaves))
+		root.TrySchedule()
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			v.Execute(ctx)
+		}
+		if err := final.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !final.Dead() {
+			t.Fatal("final vertex never executed")
+		}
+	}
+	if finishes != runs*(leaves-1) {
+		t.Fatalf("%d finish bodies ran, want %d", finishes, runs*(leaves-1))
+	}
+	if len(seen) >= finishes {
+		t.Fatalf("%d distinct counters over %d finish blocks: no counter was reused", len(seen), finishes)
 	}
 }

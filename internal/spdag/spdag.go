@@ -71,11 +71,13 @@ type ExecContext struct {
 	Home *counter.Home
 
 	free []*Vertex // recycled vertices, owner-only (see pool.go)
+	fins []*Vertex // recycled vertices that carry a counter, owner-only
 
 	// created counts the vertices countFor created under this context
-	// (see Dag.CountOn). Only the owner writes it, with a plain load and
-	// store: no RMW, and no line another worker writes. It sits beside
-	// free, which the owner already dirties on every vertex.
+	// (see Dag.CountOn). Only the owner writes it, with an atomic load
+	// and store: no RMW, and no line another worker writes, but the
+	// store is still a full fence on amd64 (XCHG). It sits beside free,
+	// which the owner already dirties on every vertex.
 	created  atomic.Int64
 	countFor *Dag
 
@@ -234,13 +236,15 @@ func (d *Dag) NewVertex(fin *Vertex, st counter.State, n int) *Vertex {
 // context's freelist (nil falls back to the shared pool); it is the
 // allocation-free path Spawn and Chain use.
 func (d *Dag) newVertex(ctx *ExecContext, fin *Vertex, st counter.State, n int) *Vertex {
-	v := grab(ctx)
+	v, spent := grab(ctx, n > 0)
 	v.dag, v.st, v.fin = d, st, fin
 	if fin != nil {
 		v.comp = fin.comp
 	}
 	if n > 0 {
-		v.ctr = d.alg.New(n)
+		// The counter a recycled finish vertex carries backs this one
+		// when it never promoted (see pool.go); otherwise d.alg.New.
+		v.ctr = counter.Renew(spent, d.alg, n)
 	}
 	if ctx != nil && ctx.countFor == d {
 		ctx.created.Store(ctx.created.Load() + 1) // owner-only word, see CountOn
